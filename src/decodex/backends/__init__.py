@@ -1,37 +1,42 @@
 """Acceleration models behind one submit() contract.
 
-Functional outputs are identical across backends; only timing, utilization,
-and counters differ.
+Functional decoding happens once, in cpu.decode_outcomes, so decoded bits
+and iteration counts are identical across backends.  The cpu backend times
+that decode on the wall clock.  The lookaside and inline backends are
+virtual-clock timing models of descriptor shapes plus a LatencyModel: time()
+gives the timing report alone, submit() adds the decoded outcomes.
 """
 
 from __future__ import annotations
 
-from .cpu import cpu_decode_batch
+from .cpu import cpu_decode_batch, decoded
 from .descriptor import DecodeDescriptor
 from .inline import (
     inline_decode_parallel,
     inline_decode_sequential,
+    inline_parallel_report,
     inline_timing_parallel,
     inline_timing_sequential,
 )
 from .lookaside import (
-    DEFAULT_QUEUE_DEPTH,
     QueuePair,
+    lookaside_bulk_report,
     lookaside_dequeue,
     lookaside_enqueue,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
 from .model import (
+    DEFAULT_MODELS,
     LatencyModel,
     inline_default,
     lookaside_default,
     model_from_mapping,
     unified_default,
 )
-from .report import BackendReport, DecodeOutcome
+from .report import BackendReport
 
-BACKEND_KINDS = ("cpu", "lookaside", "inline", "inline-unified")
+BACKEND_KINDS = ("cpu", *DEFAULT_MODELS)
 
 
 class CpuBackend:
@@ -45,73 +50,57 @@ class CpuBackend:
 
 
 class LookasideBackend:
+    """Bulk enqueue, then one drain, on the default-depth queue pair."""
+
     clock_type = "virtual"
 
-    def __init__(self, model: LatencyModel | None = None, depth: int = DEFAULT_QUEUE_DEPTH,
-                 mode: str = "bulk"):
-        if mode not in ("bulk", "sequential"):
-            raise ValueError(f"unknown lookaside dispatch mode {mode!r}")
+    def __init__(self, model: LatencyModel | None = None):
         self.model = model or lookaside_default()
-        self.depth = depth
-        self.mode = mode
+
+    def time(self, descriptors: list[DecodeDescriptor]) -> BackendReport:
+        return lookaside_bulk_report(descriptors, self.model)
 
     def submit(self, descriptors: list[DecodeDescriptor]) -> BackendReport:
-        if self.mode == "sequential":
-            return run_lookaside_sequential(descriptors, self.model, depth=self.depth)
-        return run_lookaside_bulk(descriptors, self.model, depth=self.depth)
+        return decoded(self.time(descriptors), descriptors)
 
 
 class InlineBackend:
+    """One parallel launch over the submitted TBs."""
+
     clock_type = "virtual"
 
-    def __init__(self, model: LatencyModel | None = None, parallel: bool = True,
-                 unified: bool = False):
-        if model is None:
-            model = unified_default() if unified else inline_default()
-        self.model = model
-        self.parallel = parallel
-        self.unified = unified
+    def __init__(self, model: LatencyModel | None = None, unified: bool = False):
+        self.kind = "inline-unified" if unified else "inline"
+        self.model = model or DEFAULT_MODELS[self.kind]()
 
-    def submit(self, descriptors: list[DecodeDescriptor]) -> BackendReport:
+    def time(self, descriptors: list[DecodeDescriptor]) -> BackendReport:
         groups: dict[int, list[DecodeDescriptor]] = {}
         for d in descriptors:
             groups.setdefault(d.tb_id, []).append(d)
-        batches = [sorted(v, key=lambda d: d.cb_id) for _, v in sorted(groups.items())]
-        if self.parallel:
-            report = inline_decode_parallel(batches, self.model)
-        else:
-            report = inline_decode_sequential(batches, self.model)
-        report.backend = "inline-unified" if self.unified else "inline"
+        report = inline_parallel_report([v for _, v in sorted(groups.items())], self.model)
+        report.backend = self.kind
         return report
 
+    def submit(self, descriptors: list[DecodeDescriptor]) -> BackendReport:
+        return decoded(self.time(descriptors), descriptors)
 
-def make_backend(kind: str, model: LatencyModel | None = None, **knobs):
-    """Uniform factory: submit(descriptors) -> BackendReport."""
+
+def make_backend(kind: str, model: LatencyModel | None = None, workers: int = 1):
+    """Uniform factory: submit(descriptors) -> BackendReport.  ``workers``
+    applies to the cpu backend, ``model`` to the virtual ones."""
     if kind == "cpu":
-        return CpuBackend(workers=knobs.pop("workers", 1))
+        return CpuBackend(workers=workers)
     if kind == "lookaside":
-        return LookasideBackend(
-            model=model,
-            depth=knobs.pop("depth", DEFAULT_QUEUE_DEPTH),
-            mode=knobs.pop("mode", "bulk"),
-        )
-    if kind == "inline":
-        return InlineBackend(model=model, parallel=knobs.pop("parallel", True))
-    if kind == "inline-unified":
-        return InlineBackend(model=model, parallel=knobs.pop("parallel", True), unified=True)
+        return LookasideBackend(model=model)
+    if kind in ("inline", "inline-unified"):
+        return InlineBackend(model=model, unified=kind == "inline-unified")
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
 __all__ = [
     "BACKEND_KINDS",
-    "BackendReport",
-    "CpuBackend",
-    "DEFAULT_QUEUE_DEPTH",
-    "DecodeDescriptor",
-    "DecodeOutcome",
-    "InlineBackend",
+    "DEFAULT_MODELS",
     "LatencyModel",
-    "LookasideBackend",
     "QueuePair",
     "cpu_decode_batch",
     "inline_decode_parallel",

@@ -1,10 +1,11 @@
-"""Real multi-worker CPU decoding.
+"""Real decoding: decode_outcomes, the one place a descriptor becomes a
+DecodeOutcome, and the multi-worker CPU backend.
 
-The smallest schedulable unit is a transport block: descriptors are grouped
-by tb_id and each group runs on one worker process.  Decoding is
-deterministic, so results are identical for any worker count; only the
-wall-clock timings change.  Worker processes are forked so the expanded
-parity-check caches carry over.
+The CPU backend's smallest schedulable unit is a transport block:
+descriptors are grouped by tb_id and each group runs on one worker process.
+Decoding is deterministic, so results are identical for any worker count;
+only the wall-clock timings change.  Worker processes are forked so the
+expanded parity-check caches carry over.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from .descriptor import DecodeDescriptor
 from .report import BackendReport, DecodeOutcome
 
 
-def _decode_tb(args: tuple[int, list[DecodeDescriptor]]) -> tuple[int, float, list[DecodeOutcome]]:
-    tb_id, descriptors = args
-    start = time.perf_counter()
+def decode_outcomes(descriptors: list[DecodeDescriptor]) -> list[DecodeOutcome]:
+    """Decode each descriptor with the real decoder; outcomes come back in
+    (tb_id, cb_id) order."""
     outcomes = []
     for d in descriptors:
+        if d.llr is None:
+            raise ValueError("descriptor has no LLR input")
         res = decode_layered_minsum(d.llr, d.cb_params, max_iterations=d.max_iterations)
         outcomes.append(
             DecodeOutcome(
@@ -34,6 +37,24 @@ def _decode_tb(args: tuple[int, list[DecodeDescriptor]]) -> tuple[int, float, li
                 converged=res.converged,
             )
         )
+    outcomes.sort(key=lambda o: (o.tb_id, o.cb_id))
+    return outcomes
+
+
+def decoded(report: BackendReport, descriptors: list[DecodeDescriptor]) -> BackendReport:
+    """Fill a virtual-clock report's outcomes by decoding the ops it delivered.
+
+    A lookaside drain shortfall delivers only the first deq_count ops of its
+    FIFO; inline reports leave deq_count None and deliver every op.
+    """
+    report.outcomes = decode_outcomes(descriptors[: report.deq_count])
+    return report
+
+
+def _decode_tb(args: tuple[int, list[DecodeDescriptor]]) -> tuple[int, float, list[DecodeOutcome]]:
+    tb_id, descriptors = args
+    start = time.perf_counter()
+    outcomes = decode_outcomes(descriptors)
     latency_us = (time.perf_counter() - start) * 1e6
     return tb_id, latency_us, outcomes
 
@@ -48,10 +69,8 @@ def cpu_decode_batch(descriptors: list[DecodeDescriptor], workers: int = 1) -> B
         raise ValueError("workers must be >= 1")
     groups: dict[int, list[DecodeDescriptor]] = {}
     for d in descriptors:
-        if d.llr is None:
-            raise ValueError("descriptor has no LLR input")
         groups.setdefault(d.tb_id, []).append(d)
-    tasks = [(tb_id, sorted(v, key=lambda d: d.cb_id)) for tb_id, v in sorted(groups.items())]
+    tasks = sorted(groups.items())
 
     report = BackendReport(backend="cpu", clock_type="wall")
     batch_start = time.perf_counter()
@@ -65,5 +84,4 @@ def cpu_decode_batch(descriptors: list[DecodeDescriptor], workers: int = 1) -> B
     for tb_id, latency_us, outcomes in results:
         report.tb_latency_us[tb_id] = latency_us
         report.outcomes.extend(outcomes)
-    report.outcomes.sort(key=lambda o: (o.tb_id, o.cb_id))
     return report

@@ -9,7 +9,10 @@ decode slots, so device utilization grows with concurrent streams while a
 lone sequential stream keeps a constant footprint.
 
 Kernel time excludes transfers; total time adds the host-device transfer
-costs (zeroed for the unified-memory variant).
+costs (zeroed for the unified-memory variant).  This module is timing only:
+inline_timing_* work on codeword counts, and the inline_decode_* runners
+add the decoded outcomes.  An empty input is zero work: 0 us at
+utilization 0.0.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..ldpc import decode_layered_minsum
+from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
+from .cpu import decoded
 from .descriptor import DecodeDescriptor
 from .model import LatencyModel
-from .report import BackendReport, DecodeOutcome
+from .report import BackendReport
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,7 @@ class InlineTiming:
     kernel_us: float
     total_us: float
     utilization: float
+    tb_us: tuple[float, ...] = ()  # per-launch-stream completion latency, input order
 
 
 def _launch_time(codewords: int, model: LatencyModel) -> float:
@@ -46,82 +51,80 @@ def _transfer_time(batch: list[DecodeDescriptor], model: LatencyModel) -> float:
     return 2 * model.dma_overhead + model.transfer_per_byte * nbytes
 
 
-def _decode_batch(batch: list[DecodeDescriptor]) -> list[DecodeOutcome]:
-    out = []
-    for d in batch:
-        res = decode_layered_minsum(d.llr, d.cb_params, max_iterations=d.max_iterations)
-        out.append(
-            DecodeOutcome(
-                tb_id=d.tb_id,
-                cb_id=d.cb_id,
-                output_slot=d.output_slot,
-                bits=res.bits,
-                iterations_used=res.iterations_used,
-                converged=res.converged,
-            )
-        )
-    return out
-
-
 def inline_timing_sequential(
-    codeword_counts: list[int], model: LatencyModel, with_transfer_us: float = 0.0
+    codeword_counts: list[int], model: LatencyModel, transfer_us: list[float] | None = None
 ) -> InlineTiming:
-    """Pure timing of per-TB launches; utilization is the mean per-launch
-    slot footprint over capacity."""
+    """Pure timing of per-TB launches, back to back; ``transfer_us`` gives
+    each launch's transfer time.  Utilization is the mean per-launch slot
+    footprint over capacity."""
+    if not codeword_counts:
+        return InlineTiming(kernel_us=0.0, total_us=0.0, utilization=0.0)
+    transfer_us = transfer_us or [0.0] * len(codeword_counts)
+    tb_us = tuple(t + _launch_time(c, model) for c, t in zip(codeword_counts, transfer_us))
+    total = 0.0
+    for i, t in enumerate(tb_us):
+        if i:
+            total += model.inter_launch_gap
+        total += t
     kernel = sum(_launch_time(c, model) for c in codeword_counts)
     kernel += (len(codeword_counts) - 1) * model.inter_launch_gap
     util = (
         sum(_stream_slots(c, model) for c in codeword_counts)
         / (len(codeword_counts) * model.capacity)
     )
-    return InlineTiming(kernel_us=kernel, total_us=kernel + with_transfer_us, utilization=util)
+    return InlineTiming(kernel_us=kernel, total_us=total, utilization=util, tb_us=tb_us)
 
 
 def inline_timing_parallel(
-    codeword_counts: list[int], model: LatencyModel, with_transfer_us: float = 0.0
+    codeword_counts: list[int], model: LatencyModel, transfer_us: float = 0.0
 ) -> InlineTiming:
-    """Pure timing of one launch over all codewords; every stream's slot
-    footprint is resident at once."""
+    """Pure timing of one launch over all codewords, after one aggregate
+    transfer of ``transfer_us``; every stream's slot footprint is resident at
+    once and every TB completes together."""
+    if not codeword_counts:
+        return InlineTiming(kernel_us=0.0, total_us=0.0, utilization=0.0)
     kernel = _launch_time(sum(codeword_counts), model)
     slots = min(sum(_stream_slots(c, model) for c in codeword_counts), model.capacity)
-    util = slots / model.capacity
-    return InlineTiming(kernel_us=kernel, total_us=kernel + with_transfer_us, utilization=util)
+    total = kernel + transfer_us
+    return InlineTiming(
+        kernel_us=kernel,
+        total_us=total,
+        utilization=slots / model.capacity,
+        tb_us=(total,) * len(codeword_counts),
+    )
+
+
+def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming) -> BackendReport:
+    return BackendReport(
+        backend="inline",
+        clock_type="virtual",
+        tb_latency_us={batch[0].tb_id: us for batch, us in zip(tb_batches, timing.tb_us)},
+        total_us=timing.total_us,
+        utilization=timing.utilization,
+    )
+
+
+def inline_parallel_report(
+    tb_batches: list[list[DecodeDescriptor]], model: LatencyModel
+) -> BackendReport:
+    """Timing of a single launch over all codewords after one aggregate transfer."""
+    counts = [len(b) for b in tb_batches]
+    transfer = _transfer_time([d for b in tb_batches for d in b], model)
+    return _report(tb_batches, inline_timing_parallel(counts, model, transfer))
 
 
 def inline_decode_sequential(
     tb_batches: list[list[DecodeDescriptor]], model: LatencyModel
 ) -> BackendReport:
     """One launch per TB, back to back, each TB transferred separately."""
-    report = BackendReport(backend="inline", clock_type="virtual")
-    utils = []
-    clock = 0.0
-    for i, batch in enumerate(tb_batches):
-        if i:
-            clock += model.inter_launch_gap
-        t = _transfer_time(batch, model) + _launch_time(len(batch), model)
-        report.tb_latency_us[batch[0].tb_id] = t
-        clock += t
-        utils.append(_stream_slots(len(batch), model) / model.capacity)
-        report.outcomes.extend(_decode_batch(batch))
-    report.total_us = clock
-    report.utilization = float(sum(utils) / len(utils)) if utils else 0.0
-    report.outcomes.sort(key=lambda o: (o.tb_id, o.cb_id))
-    return report
+    counts = [len(b) for b in tb_batches]
+    transfers = [_transfer_time(b, model) for b in tb_batches]
+    report = _report(tb_batches, inline_timing_sequential(counts, model, transfers))
+    return decoded(report, [d for b in tb_batches for d in b])
 
 
 def inline_decode_parallel(
     tb_batches: list[list[DecodeDescriptor]], model: LatencyModel
 ) -> BackendReport:
-    """A single launch over all codewords; data moves in one aggregate
-    transfer and every TB completes together."""
-    report = BackendReport(backend="inline", clock_type="virtual")
-    flat = [d for batch in tb_batches for d in batch]
-    counts = [len(b) for b in tb_batches]
-    timing = inline_timing_parallel(counts, model, _transfer_time(flat, model))
-    for batch in tb_batches:
-        report.tb_latency_us[batch[0].tb_id] = timing.total_us
-    report.total_us = timing.total_us
-    report.utilization = timing.utilization
-    report.outcomes.extend(_decode_batch(flat))
-    report.outcomes.sort(key=lambda o: (o.tb_id, o.cb_id))
-    return report
+    """inline_parallel_report plus the decoded outcomes."""
+    return decoded(inline_parallel_report(tb_batches, model), [d for b in tb_batches for d in b])

@@ -4,8 +4,11 @@ The device is a deeply pipelined decoder behind a depth-limited FIFO.  An
 accepted op begins after its host-to-device transfer lands and at least
 pipeline_ii after the previous op started; it completes after the fixed
 service time plus its return transfer.  Completion order is FIFO.  The host
-polls at poll_interval granularity.  Functional output is produced by the
-real decoder at dequeue time; only timing is modeled.
+polls at poll_interval granularity.
+
+This module is timing only: the virtual-clock report of a run follows from
+descriptor shapes and the model, and the run_lookaside_* runners add the
+decoded outcomes of the ops they delivered.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..ldpc import decode_layered_minsum
+from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
+from .cpu import decoded
 from .descriptor import DecodeDescriptor
 from .model import LatencyModel
-from .report import BackendReport, DecodeOutcome
+from .report import BackendReport
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_DRAIN_RETRIES = 100_000
@@ -32,6 +36,10 @@ class QueuePair:
     next_start: float = 0.0
     enq_count: int = 0
     deq_count: int = 0
+
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError("queue depth must be >= 1")
 
     @property
     def outstanding(self) -> int:
@@ -67,66 +75,33 @@ def lookaside_dequeue(
     return out
 
 
-def _decode_op(d: DecodeDescriptor) -> DecodeOutcome:
-    res = decode_layered_minsum(d.llr, d.cb_params, max_iterations=d.max_iterations)
-    return DecodeOutcome(
-        tb_id=d.tb_id,
-        cb_id=d.cb_id,
-        output_slot=d.output_slot,
-        bits=res.bits,
-        iterations_used=res.iterations_used,
-        converged=res.converged,
+def _timing_report(q: QueuePair, completed, clock: float) -> BackendReport:
+    report = BackendReport(
+        backend="lookaside",
+        clock_type="virtual",
+        total_us=clock,
+        enq_count=q.enq_count,
+        deq_count=q.deq_count,
     )
-
-
-def _finish_report(report: BackendReport, q: QueuePair, completed, clock: float):
     first_submit: dict[int, float] = {}
     last_done: dict[int, float] = {}
     for desc, t_enq, t_deq in completed:
-        report.outcomes.append(_decode_op(desc))
         first_submit.setdefault(desc.tb_id, t_enq)
         first_submit[desc.tb_id] = min(first_submit[desc.tb_id], t_enq)
         last_done[desc.tb_id] = max(last_done.get(desc.tb_id, 0.0), t_deq)
     for tb_id in last_done:
         report.tb_latency_us[tb_id] = last_done[tb_id] - first_submit[tb_id]
-    report.outcomes.sort(key=lambda o: (o.tb_id, o.cb_id))
-    report.total_us = clock
-    report.enq_count = q.enq_count
-    report.deq_count = q.deq_count
-
-
-def run_lookaside_sequential(
-    descriptors: list[DecodeDescriptor],
-    model: LatencyModel,
-    depth: int = DEFAULT_QUEUE_DEPTH,
-) -> BackendReport:
-    """One op at a time: enqueue, poll until it dequeues, then the next."""
-    if depth < 1:
-        raise ValueError("queue depth must be >= 1")
-    q = QueuePair(model=model, depth=depth)
-    report = BackendReport(backend="lookaside", clock_type="virtual")
-    clock = 0.0
-    completed = []
-    for d in descriptors:
-        lookaside_enqueue(q, d, clock)  # queue is empty between ops
-        while True:
-            got = lookaside_dequeue(q, 1, clock)
-            if got:
-                completed.extend([(desc, t, clock) for desc, t, _ in got])
-                break
-            clock += model.poll_interval
-    _finish_report(report, q, completed, clock)
     return report
 
 
-def run_lookaside_bulk(
+def lookaside_bulk_report(
     descriptors: list[DecodeDescriptor],
     model: LatencyModel,
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
-    arrival_gap: float = 0.0,
 ) -> BackendReport:
-    """Enqueue everything as it arrives, then drain in one retry-capped loop.
+    """Timing of enqueueing everything at once, then draining in one
+    retry-capped loop.
 
     Backpressure retries advance the clock by poll_interval and pull any
     already-completed ops so a queue shorter than the batch cannot deadlock.
@@ -134,12 +109,9 @@ def run_lookaside_bulk(
     drain_shortfall failure state (enq != deq) rather than raising.
     """
     q = QueuePair(model=model, depth=depth)
-    report = BackendReport(backend="lookaside", clock_type="virtual")
     clock = 0.0
     completed = []
-    for i, d in enumerate(descriptors):
-        arrival = i * arrival_gap
-        clock = max(clock, arrival)
+    for d in descriptors:
         while not lookaside_enqueue(q, d, clock):
             got = lookaside_dequeue(q, q.outstanding, clock)
             completed.extend([(desc, t, clock) for desc, t, _ in got])
@@ -154,10 +126,41 @@ def run_lookaside_bulk(
             clock += model.poll_interval
         retry += 1
 
-    _finish_report(report, q, completed, clock)
+    report = _timing_report(q, completed, clock)
     if q.enq_count != q.deq_count:
         report.failure = (
             f"drain_shortfall: enq={q.enq_count} deq={q.deq_count} "
             f"after {max_drain_retries} retries"
         )
     return report
+
+
+def run_lookaside_sequential(
+    descriptors: list[DecodeDescriptor],
+    model: LatencyModel,
+    depth: int = DEFAULT_QUEUE_DEPTH,
+) -> BackendReport:
+    """One op at a time: enqueue, poll until it dequeues, then the next."""
+    q = QueuePair(model=model, depth=depth)
+    clock = 0.0
+    completed = []
+    for d in descriptors:
+        lookaside_enqueue(q, d, clock)  # queue is empty between ops
+        while True:
+            got = lookaside_dequeue(q, 1, clock)
+            if got:
+                completed.extend([(desc, t, clock) for desc, t, _ in got])
+                break
+            clock += model.poll_interval
+    return decoded(_timing_report(q, completed, clock), descriptors)
+
+
+def run_lookaside_bulk(
+    descriptors: list[DecodeDescriptor],
+    model: LatencyModel,
+    depth: int = DEFAULT_QUEUE_DEPTH,
+    max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
+) -> BackendReport:
+    """lookaside_bulk_report plus the outcomes of the ops the drain delivered."""
+    report = lookaside_bulk_report(descriptors, model, depth, max_drain_retries)
+    return decoded(report, descriptors)

@@ -10,6 +10,7 @@ gap between consecutive sequential launches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -29,8 +30,9 @@ class LatencyModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be non-negative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and non-negative")
         if self.pipeline_ii > self.op_service:
             raise ValueError("pipeline_ii must not exceed op_service")
         if self.capacity < 1:
@@ -54,6 +56,13 @@ def inline_default() -> LatencyModel:
 def unified_default() -> LatencyModel:
     """Unified-memory inline variant: no host-device transfer costs."""
     return replace(inline_default(), transfer_per_byte=0.0, dma_overhead=0.0)
+
+
+DEFAULT_MODELS = {
+    "lookaside": lookaside_default,
+    "inline": inline_default,
+    "inline-unified": unified_default,
+}
 
 
 def model_from_mapping(base: LatencyModel, overrides: dict) -> LatencyModel:

@@ -40,16 +40,6 @@ class BackendReport:
     deq_count: int | None = None
     failure: str | None = None
 
-    @property
-    def latencies(self) -> np.ndarray:
-        return np.array([self.tb_latency_us[k] for k in sorted(self.tb_latency_us)])
-
-    @property
-    def mean_iterations(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return float(np.mean([o.iterations_used for o in self.outcomes]))
-
     def bits_by_tb(self) -> dict[int, list[np.ndarray]]:
         """Decoded CB bit blocks grouped by TB, in cb_id order."""
         grouped: dict[int, list[DecodeOutcome]] = {}

@@ -12,7 +12,7 @@ import configparser
 import os
 import sys
 
-from ..backends import LatencyModel, inline_default, lookaside_default, model_from_mapping, unified_default
+from ..backends import DEFAULT_MODELS, model_from_mapping
 from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
 from .emit import emit
@@ -22,12 +22,6 @@ from .sweep import SweepConfig, run_sweep
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_CELL_FAILURE = 2
-
-_BASE_MODELS = {
-    "lookaside": lookaside_default,
-    "inline": inline_default,
-    "inline-unified": unified_default,
-}
 
 
 def _parse_list(text: str, cast):
@@ -62,7 +56,7 @@ def load_sweep_config(path: str | None) -> SweepConfig:
         for section in parser.sections():
             if section.startswith("model."):
                 backend = section.split(".", 1)[1]
-                base = _BASE_MODELS.get(backend)
+                base = DEFAULT_MODELS.get(backend)
                 if base is None:
                     raise ConfigurationError(f"unknown model section [{section}]")
                 models[backend] = model_from_mapping(base(), dict(parser[section]))

@@ -20,7 +20,6 @@ from ..backends import (
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
-from ..backends.inline import _transfer_time
 from ..ldpc import ConfigurationError, decode_layered_minsum, encode
 from ..nr import (
     make_transport_block,
@@ -53,8 +52,8 @@ def run_bulk_study(
 ) -> list[BulkStudyRow]:
     """Throughput of sequential vs bulk enqueue/dequeue over op-count sweeps.
 
-    Ops are single-CB transport blocks small enough that the real decode at
-    dequeue time stays cheap; timing depends only on the model.
+    Ops are single-CB transport blocks small enough that their real decode
+    stays cheap; timing depends only on the model.
     """
     model = model or lookaside_default()
     rows = []
@@ -124,10 +123,8 @@ def run_parallel_study(
         seq_report = inline_decode_sequential(batches, model)
         par_report = inline_decode_parallel(batches, model)
         counts = [len(b) for b in batches]
-        seq_transfer = sum(_transfer_time(b, model) for b in batches)
-        par_transfer = _transfer_time([d for b in batches for d in b], model)
-        seq_timing = inline_timing_sequential(counts, model, seq_transfer)
-        par_timing = inline_timing_parallel(counts, model, par_transfer)
+        seq_timing = inline_timing_sequential(counts, model)
+        par_timing = inline_timing_parallel(counts, model)
         rows.append(
             ParallelStudyRow(
                 n_ue=n_ue,

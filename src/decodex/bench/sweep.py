@@ -1,13 +1,14 @@
 """End-to-end sweep orchestration over (backend x MCS x SNR x PRB) cells.
 
-Each cell generates fresh random transport blocks, runs the full chain
-(encode, modulate, AWGN, demap, de-match, backend decode), and reduces to
-one SweepRecord.  Virtual-clock backends receive one TB per submission so
-their reported latency is the isolated per-TB round trip; the CPU backend
-receives the whole cell as one batch so its worker pool can spread TBs
-across cores.  Cells execute sequentially and derive their seeds from the
-master seed, so a sweep is reproducible end to end (bit-exactly on virtual
-clocks).
+Each grid cell generates fresh random transport blocks, runs the transmit
+chain (encode, modulate, AWGN, demap, de-match) and decodes every code block
+once, on the CPU worker pool.  Every backend then reduces the same decoded
+outcomes to one SweepRecord.  The cpu backend's latency is the wall clock of
+that decode, which takes the whole cell as one batch so the pool can spread
+TBs across cores.  The virtual-clock backends add only their timing, on one
+TB per submission, so their reported latency is the isolated per-TB round
+trip.  Cells execute sequentially and derive their seeds from the master
+seed, so a sweep is reproducible end to end (bit-exactly on virtual clocks).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backends import BACKEND_KINDS, LatencyModel, make_backend
-from ..nr import mcs_lookup, reassemble
+from .. import backends
+from ..nr import reassemble
 from ..phy import generate_cell_vectors
 
 DEFAULT_MCS_SET = tuple(range(20))
@@ -48,7 +49,7 @@ class SweepConfig:
             raise ValueError("backends, mcs_set, snr_grid_db, prb_set must be non-empty")
         if self.n_tb < 1:
             raise ValueError("n_tb must be >= 1")
-        unknown = set(self.backends) - set(BACKEND_KINDS)
+        unknown = set(self.backends) - set(backends.BACKEND_KINDS)
         if unknown:
             raise ValueError(f"unknown backends: {sorted(unknown)}")
 
@@ -81,6 +82,60 @@ def cell_seed(master_seed: int, cell_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, cell_index]).generate_state(1)[0])
 
 
+def _cell_records(
+    config: SweepConfig, mcs: int, snr_db: float, prb: int, seed: int
+) -> list[SweepRecord]:
+    """Generate and decode one cell once, then reduce it to one record per
+    backend of the config, in its order.
+
+    A virtual backend delivers the decoded outcomes of the ops it completed.
+    A TB fails when it is not fully delivered or when any of its CRCs (per-CB
+    or TB-level) fail after decode.  Backend failure states surface in the
+    record instead of aborting.
+    """
+    vectors = generate_cell_vectors(mcs, prb, snr_db, config.n_tb, seed, config.max_iterations)
+    batches = [v.descriptors for v in vectors]
+    cpu = backends.cpu_decode_batch([d for b in batches for d in b], workers=config.workers)
+    by_tb: dict[int, list] = {}
+    for o in cpu.outcomes:
+        by_tb.setdefault(o.tb_id, []).append(o)
+    outcomes = [by_tb[b[0].tb_id] for b in batches]
+    tb_ok = [reassemble([o.bits for o in outs], v.tb).ok for v, outs in zip(vectors, outcomes)]
+
+    records = []
+    for kind in config.backends:
+        if kind == "cpu":
+            reports, delivered = [cpu], outcomes
+        else:
+            backend = backends.make_backend(kind, model=config.models.get(kind))
+            reports = [backend.time(b) for b in batches]
+            delivered = [outs[: r.deq_count] for outs, r in zip(outcomes, reports)]
+        errors = sum(
+            not (ok and len(outs) == len(b)) for ok, outs, b in zip(tb_ok, delivered, batches)
+        )
+        iterations = [o.iterations_used for outs in delivered for o in outs]
+        utilizations = [r.utilization for r in reports if r.utilization is not None]
+        lat = np.asarray([us for r in reports for us in r.tb_latency_us.values()])
+        records.append(
+            SweepRecord(
+                backend=kind,
+                mcs=mcs,
+                snr_db=snr_db,
+                prb=prb,
+                n_tb=config.n_tb,
+                bler=errors / config.n_tb,
+                mean_iterations=float(np.mean(iterations)) if iterations else 0.0,
+                p50_us=float(np.percentile(lat, 50)) if lat.size else math.nan,
+                p99_us=float(np.percentile(lat, 99)) if lat.size else math.nan,
+                mean_us=float(lat.mean()) if lat.size else math.nan,
+                utilization=float(np.mean(utilizations)) if utilizations else None,
+                clock_type="wall" if kind == "cpu" else "virtual",
+                failure=next((r.failure for r in reports if r.failure), None),
+            )
+        )
+    return records
+
+
 def run_cell(
     backend_kind: str,
     mcs: int,
@@ -89,105 +144,51 @@ def run_cell(
     n_tb: int,
     seed: int,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    model: LatencyModel | None = None,
+    model: backends.LatencyModel | None = None,
     workers: int = 1,
 ) -> SweepRecord:
-    """Run one sweep cell and reduce it to a record.
-
-    A TB fails when any of its CRCs (per-CB or TB-level) fail after decode.
-    Backend failure states surface in the record instead of aborting.
-    """
-    mcs_lookup(mcs)  # validate early
-    vectors = generate_cell_vectors(mcs, prb, snr_db, n_tb, seed, max_iterations)
-    backend = make_backend(backend_kind, model=model, workers=workers)
-
-    if backend_kind == "cpu":
-        reports = [backend.submit([d for v in vectors for d in v.descriptors])]
-    else:
-        reports = [backend.submit(list(v.descriptors)) for v in vectors]
-
-    latencies: list[float] = []
-    iterations: list[int] = []
-    utilizations: list[float] = []
-    failure = None
-    decoded: dict[int, list[np.ndarray]] = {}
-    for rep in reports:
-        latencies.extend(rep.tb_latency_us.values())
-        iterations.extend(o.iterations_used for o in rep.outcomes)
-        if rep.utilization is not None:
-            utilizations.append(rep.utilization)
-        if rep.failure and failure is None:
-            failure = rep.failure
-        decoded.update(rep.bits_by_tb())
-
-    errors = 0
-    for vec in vectors:
-        blocks = decoded.get(vec.descriptors[0].tb_id)
-        ok = blocks is not None and reassemble(blocks, vec.tb).ok
-        errors += 0 if ok else 1
-
-    lat = np.asarray(latencies)
-    return SweepRecord(
-        backend=backend_kind,
-        mcs=mcs,
-        snr_db=snr_db,
-        prb=prb,
-        n_tb=n_tb,
-        bler=errors / n_tb,
-        mean_iterations=float(np.mean(iterations)) if iterations else 0.0,
-        p50_us=float(np.percentile(lat, 50)) if lat.size else math.nan,
-        p99_us=float(np.percentile(lat, 99)) if lat.size else math.nan,
-        mean_us=float(lat.mean()) if lat.size else math.nan,
-        utilization=float(np.mean(utilizations)) if utilizations else None,
-        clock_type=backend.clock_type,
-        failure=failure,
+    """Run one sweep cell on one backend and reduce it to a record."""
+    config = SweepConfig(
+        backends=(backend_kind,), n_tb=n_tb, max_iterations=max_iterations,
+        workers=workers, models={backend_kind: model},
     )
+    return _cell_records(config, mcs, snr_db, prb, seed)[0]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Cartesian product of cells in deterministic order; always emits
-    |backends| * |mcs| * |snr| * |prb| records, failures included.
+    |backends| * |mcs| * |snr| * |prb| records, failures included, grouped by
+    backend in config order.
 
-    The per-cell seed depends only on the (mcs, snr, prb) position, so every
-    backend decodes identical vectors and the BLER/iteration columns agree
-    across backends by construction.
+    Each cell is generated and decoded once and every backend reduces the
+    same outcomes, so the BLER/iteration columns agree across backends by
+    construction.  The per-cell seed depends only on the (mcs, snr, prb)
+    position.
     """
-    records = []
-    grid = list(itertools.product(config.mcs_set, config.snr_grid_db, config.prb_set))
-    cells = [
-        (backend, index, cell)
-        for backend in config.backends
-        for index, cell in enumerate(grid)
-    ]
-    for backend_kind, index, (mcs, snr_db, prb) in cells:
-        seed = cell_seed(config.seed, index)
+    grid = itertools.product(config.mcs_set, config.snr_grid_db, config.prb_set)
+    columns: list[list[SweepRecord]] = [[] for _ in config.backends]
+    for index, (mcs, snr_db, prb) in enumerate(grid):
         try:
-            rec = run_cell(
-                backend_kind,
-                mcs,
-                snr_db,
-                prb,
-                config.n_tb,
-                seed,
-                max_iterations=config.max_iterations,
-                model=config.models.get(backend_kind),
-                workers=config.workers,
-            )
+            records = _cell_records(config, mcs, snr_db, prb, cell_seed(config.seed, index))
         except Exception as exc:  # cell-level failure must not abort the sweep
-            rec = SweepRecord(
-                backend=backend_kind,
-                mcs=mcs,
-                snr_db=snr_db,
-                prb=prb,
-                n_tb=config.n_tb,
-                bler=math.nan,
-                mean_iterations=math.nan,
-                p50_us=math.nan,
-                p99_us=math.nan,
-                mean_us=math.nan,
-                utilization=None,
-                clock_type="wall" if backend_kind == "cpu" else "virtual",
-                failure=f"{type(exc).__name__}: {exc}",
-            )
-        records.append(rec)
-    return records
+            records = [
+                SweepRecord(
+                    backend=kind,
+                    mcs=mcs,
+                    snr_db=snr_db,
+                    prb=prb,
+                    n_tb=config.n_tb,
+                    bler=math.nan,
+                    mean_iterations=math.nan,
+                    p50_us=math.nan,
+                    p99_us=math.nan,
+                    mean_us=math.nan,
+                    utilization=None,
+                    clock_type="wall" if kind == "cpu" else "virtual",
+                    failure=f"{type(exc).__name__}: {exc}",
+                )
+                for kind in config.backends
+            ]
+        for column, record in zip(columns, records):
+            column.append(record)
+    return [record for column in columns for record in column]

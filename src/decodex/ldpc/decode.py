@@ -85,19 +85,11 @@ def decode_layered_minsum(
             c2v[layer] = new_msgs
             app[idx] = t + new_msgs
         iterations += 1
-        if early_termination and _hard_syndrome_ok(pcm, app):
+        if early_termination and syndrome_check(pcm, app < 0):
             converged = True
             break
     if not early_termination:
-        converged = _hard_syndrome_ok(pcm, app)
+        converged = syndrome_check(pcm, app < 0)
 
     bits = (app[: params.k] < 0).astype(np.uint8)
     return DecodeResult(bits=bits, iterations_used=iterations, converged=converged)
-
-
-def _hard_syndrome_ok(pcm: ParityCheckMatrix, app: np.ndarray) -> bool:
-    bits = (app < 0).astype(np.int64)
-    for idx in pcm.gather:
-        if (bits[idx].sum(axis=0) & 1).any():
-            return False
-    return True

@@ -1,0 +1,84 @@
+"""Edge inputs to the virtual-clock models: every one ends, with a result or
+a named error, and no input gives phantom work."""
+
+import math
+import signal
+from contextlib import contextmanager
+from dataclasses import fields, replace
+
+import pytest
+
+from decodex.backends import (
+    LatencyModel,
+    inline_decode_parallel,
+    inline_decode_sequential,
+    inline_default,
+    inline_timing_parallel,
+    inline_timing_sequential,
+    lookaside_default,
+    make_backend,
+    run_lookaside_bulk,
+    run_lookaside_sequential,
+)
+from decodex.phy import generate_cell_vectors
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Turn a hang into a test failure instead of a stuck suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _ops(n):
+    return [d for v in generate_cell_vectors(0, 2, 30.0, n, seed=2) for d in v.descriptors]
+
+
+@pytest.mark.parametrize("runner", [run_lookaside_sequential, run_lookaside_bulk])
+def test_zero_queue_depth_is_rejected(runner):
+    with deadline(10), pytest.raises(ValueError, match="depth"):
+        runner(_ops(2), lookaside_default(), depth=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(LatencyModel)])
+def test_non_finite_model_fields_are_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        replace(lookaside_default(), **{name: value})
+
+
+def test_nan_poll_interval_cannot_reach_the_sequential_runner():
+    with deadline(10), pytest.raises(ValueError, match="poll_interval"):
+        run_lookaside_sequential(_ops(1), replace(lookaside_default(), poll_interval=math.nan))
+
+
+@pytest.mark.parametrize("timing", [inline_timing_sequential, inline_timing_parallel])
+def test_empty_inline_timing_is_zero_work(timing):
+    t = timing([], inline_default())
+    assert (t.kernel_us, t.total_us, t.utilization) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: inline_decode_sequential([], inline_default()),
+        lambda: inline_decode_parallel([], inline_default()),
+        lambda: make_backend("inline").submit([]),
+        lambda: make_backend("inline-unified").submit([]),
+    ],
+    ids=["sequential", "parallel", "inline-submit", "inline-unified-submit"],
+)
+def test_empty_inline_run_is_zero_work(run):
+    report = run()
+    assert report.total_us == 0.0
+    assert report.utilization == 0.0
+    assert report.tb_latency_us == {} and report.outcomes == []
