@@ -4,7 +4,8 @@ The device is a deeply pipelined decoder behind a depth-limited FIFO.  An
 accepted op begins after its host-to-device transfer lands and at least
 pipeline_ii after the previous op started; it completes after the fixed
 service time plus its return transfer.  Completion order is FIFO.  The host
-polls at poll_interval granularity.
+polls at poll_interval granularity, and every wait for a completion stops
+after a retry budget with a drain_shortfall failure state.
 
 This module is timing only: the virtual-clock report of a run follows from
 descriptor shapes and the model, and the run_lookaside_* runners add the
@@ -75,7 +76,7 @@ def lookaside_dequeue(
     return out
 
 
-def _timing_report(q: QueuePair, completed, clock: float) -> BackendReport:
+def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> BackendReport:
     report = BackendReport(
         backend="lookaside",
         clock_type="virtual",
@@ -91,7 +92,25 @@ def _timing_report(q: QueuePair, completed, clock: float) -> BackendReport:
         last_done[desc.tb_id] = max(last_done.get(desc.tb_id, 0.0), t_deq)
     for tb_id in last_done:
         report.tb_latency_us[tb_id] = last_done[tb_id] - first_submit[tb_id]
+    if q.enq_count != q.deq_count:
+        report.failure = (
+            f"drain_shortfall: enq={q.enq_count} deq={q.deq_count} after {retries} retries"
+        )
     return report
+
+
+def _poll(q: QueuePair, max_ops: int, clock: float, retries: int):
+    """Poll every poll_interval until some op completes, at most ``retries`` times.
+
+    Returns the dequeued (descriptor, enqueue_time, dequeue_time) triples,
+    empty when the budget ran out, and the advanced clock.
+    """
+    for _ in range(retries):
+        got = lookaside_dequeue(q, max_ops, clock)
+        if got:
+            return [(desc, t, clock) for desc, t, _ in got], clock
+        clock += q.model.poll_interval
+    return [], clock
 
 
 def lookaside_bulk_report(
@@ -104,19 +123,20 @@ def lookaside_bulk_report(
     retry-capped loop.
 
     Backpressure retries advance the clock by poll_interval and pull any
-    already-completed ops so a queue shorter than the batch cannot deadlock.
-    A drain that exhausts its retry budget with ops still pending reports a
-    drain_shortfall failure state (enq != deq) rather than raising.
+    already-completed ops so a queue shorter than the batch cannot deadlock;
+    each wait for a free slot polls at most max_drain_retries times.  A wait
+    or a drain that exhausts its retry budget with ops still pending reports
+    a drain_shortfall failure state (enq != deq) rather than raising.
     """
     q = QueuePair(model=model, depth=depth)
     clock = 0.0
     completed = []
     for d in descriptors:
         while not lookaside_enqueue(q, d, clock):
-            got = lookaside_dequeue(q, q.outstanding, clock)
-            completed.extend([(desc, t, clock) for desc, t, _ in got])
+            got, clock = _poll(q, q.outstanding, clock, max_drain_retries)
             if not got:
-                clock += model.poll_interval
+                return _timing_report(q, completed, clock, max_drain_retries)
+            completed.extend(got)
 
     retry = 0
     while q.deq_count < q.enq_count and retry < max_drain_retries:
@@ -125,14 +145,7 @@ def lookaside_bulk_report(
         if q.deq_count < q.enq_count:
             clock += model.poll_interval
         retry += 1
-
-    report = _timing_report(q, completed, clock)
-    if q.enq_count != q.deq_count:
-        report.failure = (
-            f"drain_shortfall: enq={q.enq_count} deq={q.deq_count} "
-            f"after {max_drain_retries} retries"
-        )
-    return report
+    return _timing_report(q, completed, clock, max_drain_retries)
 
 
 def run_lookaside_sequential(
@@ -140,19 +153,21 @@ def run_lookaside_sequential(
     model: LatencyModel,
     depth: int = DEFAULT_QUEUE_DEPTH,
 ) -> BackendReport:
-    """One op at a time: enqueue, poll until it dequeues, then the next."""
+    """One op at a time: enqueue, poll until it dequeues, then the next.
+
+    Each op's wait polls at most DEFAULT_DRAIN_RETRIES times; an op still
+    pending after that ends the run with a drain_shortfall failure state.
+    """
     q = QueuePair(model=model, depth=depth)
     clock = 0.0
     completed = []
     for d in descriptors:
         lookaside_enqueue(q, d, clock)  # queue is empty between ops
-        while True:
-            got = lookaside_dequeue(q, 1, clock)
-            if got:
-                completed.extend([(desc, t, clock) for desc, t, _ in got])
-                break
-            clock += model.poll_interval
-    return decoded(_timing_report(q, completed, clock), descriptors)
+        got, clock = _poll(q, 1, clock, DEFAULT_DRAIN_RETRIES)
+        if not got:
+            break
+        completed.extend(got)
+    return decoded(_timing_report(q, completed, clock, DEFAULT_DRAIN_RETRIES), descriptors)
 
 
 def run_lookaside_bulk(

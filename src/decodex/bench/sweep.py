@@ -38,7 +38,6 @@ class SweepConfig:
     snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID
     prb_set: tuple[int, ...] = DEFAULT_PRB_SET
     n_tb: int = DEFAULT_N_TB
-    n_ue: tuple[int, ...] = (1, 2, 5, 10)
     seed: int = DEFAULT_SEED
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     workers: int = 1

@@ -76,11 +76,6 @@ class BaseGraph:
     kb: int
     entries: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
 
-    def shifts_for_set(self, set_index: int) -> dict[tuple[int, int], int]:
-        if not 0 <= set_index <= 7:
-            raise ConfigurationError(f"set index {set_index} out of range [0, 7]")
-        return {rc: s[set_index] for rc, s in self.entries.items()}
-
 
 def _parse_bg_file(text: str, path_label: str) -> dict[int, BaseGraph]:
     lines = text.strip().split("\n")
@@ -205,13 +200,14 @@ def expand_base_graph(bg_id: int, zc: int, set_index: int) -> ParityCheckMatrix:
     if zc not in LIFTING_SETS[set_index]:
         raise ConfigurationError(f"zc={zc} does not belong to lifting set {set_index}")
     bg = get_base_graph(bg_id)
-    shifts = bg.shifts_for_set(set_index)
 
     lane = np.arange(zc)
     layers = []
     gather = []
     for r in range(bg.rows):
-        row_entries = sorted((c, s % zc) for (rr, c), s in shifts.items() if rr == r)
+        row_entries = sorted(
+            (c, s[set_index] % zc) for (rr, c), s in bg.entries.items() if rr == r
+        )
         cols = np.array([c for c, _ in row_entries], dtype=np.int64)
         shf = np.array([s for _, s in row_entries], dtype=np.int64)
         idx = cols[:, None] * zc + (shf[:, None] + lane[None, :]) % zc

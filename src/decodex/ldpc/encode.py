@@ -1,11 +1,14 @@
-"""Systematic QC-LDPC encoding on the lifted parity-check matrix.
+"""Systematic QC-LDPC encoding on the decoder's lifted parity-check matrix.
 
 The first four base rows together with the first four parity block-columns
-form a double-diagonal core whose first column has odd-multiplicity shift q;
-summing the four core rows over GF(2) cancels everything else and leaves
-I(q) * p1 = sum of the systematic contributions, which pins p1.  The
-remaining core parities follow by back-substitution, and every extension row
-determines its own parity block directly.
+form a double-diagonal core whose first column has odd-multiplicity shift q
+(Richardson & Urbanke 2001); summing the four core rows over GF(2) cancels
+everything else and leaves I(q) * p1 = sum of the systematic contributions,
+which pins p1.  Every other parity block is then the one unknown of some
+base row, solved in a fixed order (core back-substitution, then each
+extension row's diagonal): while the block is still zero, XOR-reducing the
+row's ``ParityCheckMatrix.gather`` rows gives the bits it must hold, which
+are scattered back through the same gather indices.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basegraph import ConfigurationError, get_base_graph
+from .basegraph import BG_DIMS, ConfigurationError, expand_base_graph
 from .params import CodeBlockParams
 
 N_CORE_ROWS = 4
@@ -23,31 +26,50 @@ N_CORE_PARITY = 4
 
 
 @lru_cache(maxsize=64)
-def _encoder_plan(bg_id: int, set_index: int):
-    """Split a base graph into the row/column structure the encoder walks."""
-    bg = get_base_graph(bg_id)
-    shifts = bg.shifts_for_set(set_index)
-    n_sys = bg.kb
-    first_parity = n_sys
+def _encoder_plan(bg_id: int, zc: int, set_index: int):
+    """Check the encodable structure of a lifted graph and fix its solve order.
 
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(bg.rows)]
-    for (r, c), s in sorted(shifts.items()):
-        rows[r].append((c, s))
+    Returns p1's codeword indices and the (row, entry) of every other parity
+    block, in the order the encoder fills them.
+    """
+    pcm = expand_base_graph(bg_id, zc, set_index)
+    core = range(BG_DIMS[bg_id][2], BG_DIMS[bg_id][2] + N_CORE_PARITY)
+    cols = [c.tolist() for c, _ in pcm.layers]
 
-    core_first_col = [(r, s) for r in range(N_CORE_ROWS) for c, s in rows[r] if c == first_parity]
-    parity = Counter(s for _, s in core_first_col)
-    odd = [s for s, n in parity.items() if n % 2 == 1]
+    first = {
+        (r, e): int(pcm.layers[r][1][e])
+        for r in range(N_CORE_ROWS) for e, c in enumerate(cols[r]) if c == core.start
+    }
+    odd = [s for s, n in Counter(first.values()).items() if n % 2 == 1]
     if len(odd) != 1:
         raise ConfigurationError(
             f"BG{bg_id}: first parity column does not reduce to a single circulant"
         )
-    agg_shift = odd[0]
+    p1 = next(pcm.gather[r][e] for (r, e), s in first.items() if s == odd[0])
 
-    for r in range(N_CORE_ROWS, bg.rows):
-        ext_cols = [c for c, _ in rows[r] if c >= first_parity + N_CORE_PARITY]
-        if ext_cols != [first_parity + N_CORE_PARITY + (r - N_CORE_ROWS)]:
+    # Core parities by substitution: repeatedly take any core row with a
+    # single unknown parity column left.
+    order = []
+    solved = {core.start}
+    while len(solved) < N_CORE_PARITY:
+        progressed = False
+        for r in range(N_CORE_ROWS):
+            unknown = [e for e, c in enumerate(cols[r]) if c in core and c not in solved]
+            if len(unknown) != 1:
+                continue
+            order.append((r, unknown[0]))
+            solved.add(cols[r][unknown[0]])
+            progressed = True
+        if not progressed:
+            raise ConfigurationError(f"BG{bg_id}: core back-substitution stalled")
+
+    # Extension rows: each determines the parity block on its own diagonal.
+    for r in range(N_CORE_ROWS, pcm.base_rows):
+        ext = [e for e, c in enumerate(cols[r]) if c >= core.stop]
+        if [cols[r][e] for e in ext] != [core.stop + r - N_CORE_ROWS]:
             raise ConfigurationError(f"BG{bg_id}: row {r} lacks its extension diagonal")
-    return bg, rows, agg_shift
+        order.append((r, ext[0]))
+    return p1, tuple(order)
 
 
 def encode(info_bits: np.ndarray, params: CodeBlockParams) -> np.ndarray:
@@ -60,61 +82,15 @@ def encode(info_bits: np.ndarray, params: CodeBlockParams) -> np.ndarray:
     if info_bits.ndim != 1 or len(info_bits) != params.k:
         raise ValueError(f"expected {params.k} info bits, got {len(info_bits)}")
 
-    bg, rows, agg_shift = _encoder_plan(params.bg, params.set_index)
-    z = params.zc
-    n_sys = bg.kb
-    first_parity = n_sys
+    p1, order = _encoder_plan(params.bg, params.zc, params.set_index)
+    gather = expand_base_graph(params.bg, params.zc, params.set_index).gather
+    cw = np.zeros(params.n_full, dtype=np.uint8)
+    cw[: params.k] = info_bits
 
-    blocks = np.zeros((bg.cols, z), dtype=np.uint8)
-    blocks[: n_sys].flat[: params.k] = info_bits
-
-    def row_sum(r: int, upto: int) -> np.ndarray:
-        acc = np.zeros(z, dtype=np.uint8)
-        for c, s in rows[r]:
-            if c < upto:
-                acc ^= np.roll(blocks[c], -(s % z))
-        return acc
-
-    # p1 from the GF(2) sum of the four core rows.
-    agg = np.zeros(z, dtype=np.uint8)
-    for r in range(N_CORE_ROWS):
-        agg ^= row_sum(r, first_parity)
-    blocks[first_parity] = np.roll(agg, agg_shift % z)
-
-    # Remaining core parities by substitution: repeatedly take any core row
-    # with a single unknown parity column left.
-    solved = {first_parity}
-    while len(solved) < N_CORE_PARITY:
-        progressed = False
-        for r in range(N_CORE_ROWS):
-            unknown = [
-                (c, s)
-                for c, s in rows[r]
-                if first_parity <= c < first_parity + N_CORE_PARITY and c not in solved
-            ]
-            if len(unknown) != 1:
-                continue
-            acc = np.zeros(z, dtype=np.uint8)
-            for c, s in rows[r]:
-                if c < first_parity + N_CORE_PARITY and (c < first_parity or c in solved):
-                    acc ^= np.roll(blocks[c], -(s % z))
-            c_u, s_u = unknown[0]
-            blocks[c_u] = np.roll(acc, s_u % z)
-            solved.add(c_u)
-            progressed = True
-        if not progressed:
-            raise ConfigurationError(f"BG{params.bg}: core back-substitution stalled")
-
-    # Extension rows: each determines the parity block on its own diagonal.
-    for r in range(N_CORE_ROWS, bg.rows):
-        c_diag = first_parity + N_CORE_PARITY + (r - N_CORE_ROWS)
-        acc = np.zeros(z, dtype=np.uint8)
-        s_diag = 0
-        for c, s in rows[r]:
-            if c == c_diag:
-                s_diag = s
-            else:
-                acc ^= np.roll(blocks[c], -(s % z))
-        blocks[c_diag] = np.roll(acc, s_diag % z)
-
-    return blocks.reshape(-1)
+    agg = np.zeros(params.zc, dtype=np.uint8)
+    for idx in gather[:N_CORE_ROWS]:
+        agg ^= np.bitwise_xor.reduce(cw[idx], axis=0)
+    cw[p1] = agg
+    for r, e in order:
+        cw[gather[r][e]] = np.bitwise_xor.reduce(cw[gather[r]], axis=0)
+    return cw

@@ -10,10 +10,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Per-symbol Es/N0 in dB plus a 64-bit seed; snr_db=inf disables noise."""
+    """Per-symbol Es/N0 in dB plus a 64-bit seed; snr_db=inf disables noise.
+
+    NaN and -inf are rejected: neither names a channel.
+    """
 
     snr_db: float
     seed: int
+
+    def __post_init__(self):
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
 
     @property
     def sigma2(self) -> float:

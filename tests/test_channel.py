@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from decodex.bench import SweepConfig, run_cell, run_sweep
 from decodex.phy import ChannelConfig, transmit
 
 
@@ -40,3 +42,18 @@ def test_variance_follows_snr():
         y = transmit(x, ChannelConfig(snr_db, 55))
         var = float(np.mean(np.abs(y) ** 2))
         assert abs(var - 10 ** (-snr_db / 10)) / 10 ** (-snr_db / 10) < 0.02
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_snr_that_names_no_channel_is_rejected(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        ChannelConfig(snr_db, 1)
+
+
+def test_nan_snr_fails_its_cell_instead_of_reporting_a_clean_channel():
+    with pytest.raises(ValueError, match="snr_db"):
+        run_cell("cpu", 4, math.nan, 10, 2, seed=1)
+    config = SweepConfig(mcs_set=(4,), snr_grid_db=(math.nan, -math.inf), prb_set=(10,), n_tb=2)
+    records = run_sweep(config)
+    assert len(records) == 2
+    assert all(r.failure.startswith("ValueError") and math.isnan(r.bler) for r in records)

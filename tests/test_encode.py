@@ -1,21 +1,36 @@
 """QC-LDPC encoding against independent GF(2) oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from decodex.ldpc import encode, expand_base_graph, make_params, syndrome_check
+from decodex.ldpc import (
+    BG_DIMS,
+    LIFTING_SETS,
+    ConfigurationError,
+    basegraph,
+    encode,
+    expand_base_graph,
+    make_params,
+    syndrome_check,
+)
+from decodex.ldpc.encode import _encoder_plan
 
 from helpers import dense_syndrome_ok
 
+# Every lifting size of both standard graphs at full kb (among them BG1
+# zc=104, the shift-105 aggregate case, and BG2 zc=240, a set with unit
+# aggregate shift), plus shortened BG2 payloads and the toy graph.
 CONFIGS = [
-    (1, 2, 0, 22),
-    (1, 96, 1, 22),
-    (1, 104, 6, 22),   # the shift-105 aggregate case
-    (1, 384, 1, 22),
-    (2, 9, 4, 10),
-    (2, 72, 4, 10),
-    (2, 240, 7, 10),   # BG2 set with unit aggregate shift
+    (bg, zc, set_index, BG_DIMS[bg][2])
+    for bg in (1, 2)
+    for set_index, sizes in enumerate(LIFTING_SETS)
+    for zc in sizes
+] + [
     (2, 15, 7, 6),     # shortened systematic columns
+    (2, 384, 1, 8),
+    (2, 104, 6, 9),
     (0, 2, 0, 4),
     (0, 4, 0, 4),
 ]
@@ -77,3 +92,25 @@ def test_encode_is_linear():
     a = rng.integers(0, 2, params.k, dtype=np.uint8)
     b = rng.integers(0, 2, params.k, dtype=np.uint8)
     assert np.array_equal(encode(a ^ b, params), encode(a, params) ^ encode(b, params))
+
+
+@pytest.mark.parametrize(
+    "added,removed,message",
+    [
+        ({(0, 10): (5,) * 8}, (), "does not reduce to a single circulant"),
+        ({(0, 12): (0,) * 8, (3, 11): (0,) * 8}, (), "core back-substitution stalled"),
+        ({}, ((10, 20),), "row 10 lacks its extension diagonal"),
+    ],
+    ids=["first-column", "core-stall", "extension-diagonal"],
+)
+def test_unencodable_base_graph_is_rejected(monkeypatch, added, removed, message):
+    graphs = basegraph._bundled_graphs()
+    entries = {rc: s for rc, s in graphs[2].entries.items() if rc not in removed} | added
+    monkeypatch.setitem(graphs, 2, dataclasses.replace(graphs[2], entries=entries))
+    expand_base_graph.cache_clear()
+    _encoder_plan.cache_clear()
+    try:
+        with pytest.raises(ConfigurationError, match=message):
+            encode(np.zeros(160, dtype=np.uint8), make_params(2, 16, 0, 10))
+    finally:
+        expand_base_graph.cache_clear()

@@ -82,3 +82,22 @@ def test_empty_inline_run_is_zero_work(run):
     assert report.total_us == 0.0
     assert report.utilization == 0.0
     assert report.tb_latency_us == {} and report.outcomes == []
+
+
+def test_tiny_poll_interval_sequential_wait_is_bounded():
+    """A wait polls at most DEFAULT_DRAIN_RETRIES times, then reports a shortfall."""
+    model = replace(lookaside_default(), poll_interval=1e-9)
+    with deadline(10):
+        report = run_lookaside_sequential(_ops(1), model)
+    assert "drain_shortfall" in report.failure
+    assert (report.enq_count, report.deq_count) == (1, 0)
+    assert report.outcomes == []
+
+
+def test_tiny_poll_interval_backpressure_wait_is_bounded():
+    model = replace(lookaside_default(), poll_interval=1e-9)
+    with deadline(10):
+        report = run_lookaside_bulk(_ops(3), model, depth=1)
+    assert "drain_shortfall" in report.failure
+    assert report.enq_count != report.deq_count
+    assert report.outcomes == []

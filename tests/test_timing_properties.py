@@ -1,0 +1,78 @@
+"""Properties of the virtual-clock timing models over random models and loads.
+
+Every run ends with finite, non-negative times; a lookaside drain with the
+default retry budget delivers every op it accepted; and no model reports
+less total time for more work.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decodex.backends import (
+    LatencyModel,
+    inline_timing_parallel,
+    inline_timing_sequential,
+    run_lookaside_bulk,
+    run_lookaside_sequential,
+)
+from decodex.phy import generate_cell_vectors
+
+N_MAX = 8
+_OPS = [d for v in generate_cell_vectors(0, 2, 30.0, N_MAX, seed=5) for d in v.descriptors]
+
+_us = st.floats(0.0, 50.0)
+
+
+@st.composite
+def models(draw):
+    op_service = draw(st.floats(1.0, 50.0))
+    return LatencyModel(
+        transfer_per_byte=draw(st.floats(0.0, 0.01)),
+        dma_overhead=draw(_us),
+        return_overhead=draw(_us),
+        pipeline_ii=draw(st.floats(0.0, op_service)),
+        op_service=op_service,
+        launch_overhead=draw(_us),
+        inter_launch_gap=draw(_us),
+        per_codeword_time=draw(_us),
+        capacity=draw(st.integers(1, 512)),
+        min_stream_slots=draw(st.integers(1, 64)),
+        poll_interval=draw(st.floats(0.25, 10.0)),
+    )
+
+
+def _finite_non_negative(*values):
+    return all(math.isfinite(v) and v >= 0 for v in values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(models(), st.integers(0, N_MAX - 1), st.integers(1, N_MAX))
+def test_lookaside_runs_are_finite_conserved_and_monotone(model, n, depth):
+    runs = [
+        lambda ops: run_lookaside_sequential(ops, model, depth=depth),
+        lambda ops: run_lookaside_bulk(ops, model, depth=depth),
+    ]
+    for run in runs:
+        fewer, more = run(_OPS[:n]), run(_OPS[: n + 1])
+        for report in (fewer, more):
+            assert report.failure is None
+            assert report.enq_count == report.deq_count
+            assert _finite_non_negative(report.total_us, *report.tb_latency_us.values())
+        assert more.total_us >= fewer.total_us
+
+
+@settings(max_examples=200, deadline=None)
+@given(models(), st.lists(st.integers(1, 600), max_size=12), st.integers(1, 600),
+       st.floats(0.0, 100.0))
+def test_inline_timing_is_finite_and_monotone(model, counts, extra, transfer):
+    runs = [
+        lambda c: inline_timing_sequential(c, model, [transfer] * len(c)),
+        lambda c: inline_timing_parallel(c, model, transfer),
+    ]
+    for run in runs:
+        fewer, more = run(counts), run(counts + [extra])
+        for t in (fewer, more):
+            assert _finite_non_negative(t.kernel_us, t.total_us, t.utilization, *t.tb_us)
+        assert more.total_us >= fewer.total_us
