@@ -45,8 +45,6 @@ def _stream_slots(codewords: int, model: LatencyModel) -> int:
 
 
 def _transfer_time(batch: list[DecodeDescriptor], model: LatencyModel) -> float:
-    if model.dma_overhead == 0.0 and model.transfer_per_byte == 0.0:
-        return 0.0
     nbytes = sum(d.input_bytes + d.output_bytes for d in batch)
     return 2 * model.dma_overhead + model.transfer_per_byte * nbytes
 

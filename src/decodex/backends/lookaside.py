@@ -4,8 +4,11 @@ The device is a deeply pipelined decoder behind a depth-limited FIFO.  An
 accepted op begins after its host-to-device transfer lands and at least
 pipeline_ii after the previous op started; it completes after the fixed
 service time plus its return transfer.  Completion order is FIFO.  The host
-polls at poll_interval granularity, and every wait for a completion stops
-after a retry budget with a drain_shortfall failure state.
+runs one event loop, as a bbdev-style enqueue/dequeue burst loop does: it
+enqueues while the queue has room, and one bounded wait (_wait) polls at
+poll_interval granularity both for a free slot and for the final drain,
+stopping after a retry budget with a drain_shortfall failure state.
+Sequential dispatch is the same loop at queue depth 1.
 
 This module is timing only: the virtual-clock report of a run follows from
 descriptor shapes and the model, and the run_lookaside_* runners add the
@@ -84,14 +87,11 @@ def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> Backe
         enq_count=q.enq_count,
         deq_count=q.deq_count,
     )
+    # FIFO order: a TB's first op was enqueued first and its last op dequeued last.
     first_submit: dict[int, float] = {}
-    last_done: dict[int, float] = {}
     for desc, t_enq, t_deq in completed:
         first_submit.setdefault(desc.tb_id, t_enq)
-        first_submit[desc.tb_id] = min(first_submit[desc.tb_id], t_enq)
-        last_done[desc.tb_id] = max(last_done.get(desc.tb_id, 0.0), t_deq)
-    for tb_id in last_done:
-        report.tb_latency_us[tb_id] = last_done[tb_id] - first_submit[tb_id]
+        report.tb_latency_us[desc.tb_id] = t_deq - first_submit[desc.tb_id]
     if q.enq_count != q.deq_count:
         report.failure = (
             f"drain_shortfall: enq={q.enq_count} deq={q.deq_count} after {retries} retries"
@@ -99,18 +99,21 @@ def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> Backe
     return report
 
 
-def _poll(q: QueuePair, max_ops: int, clock: float, retries: int):
-    """Poll every poll_interval until some op completes, at most ``retries`` times.
+def _wait(q: QueuePair, target: int, clock: float, retries: int, completed: list) -> float:
+    """Poll every poll_interval, dequeuing every completed op, until at most
+    ``target`` ops are outstanding or ``retries`` polls are spent.
 
-    Returns the dequeued (descriptor, enqueue_time, dequeue_time) triples,
-    empty when the budget ran out, and the advanced clock.
+    Appends the dequeued (descriptor, enqueue_time, dequeue_time) triples to
+    ``completed`` and returns the advanced clock.
     """
     for _ in range(retries):
-        got = lookaside_dequeue(q, max_ops, clock)
-        if got:
-            return [(desc, t, clock) for desc, t, _ in got], clock
-        clock += q.model.poll_interval
-    return [], clock
+        if q.outstanding <= target:
+            break
+        got = lookaside_dequeue(q, q.outstanding, clock)
+        completed.extend((desc, t, clock) for desc, t, _ in got)
+        if q.outstanding > target:
+            clock += q.model.poll_interval
+    return clock
 
 
 def lookaside_bulk_report(
@@ -119,55 +122,31 @@ def lookaside_bulk_report(
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
 ) -> BackendReport:
-    """Timing of enqueueing everything at once, then draining in one
-    retry-capped loop.
+    """Timing of enqueueing every op as soon as the queue has room, then
+    draining.
 
-    Backpressure retries advance the clock by poll_interval and pull any
-    already-completed ops so a queue shorter than the batch cannot deadlock;
-    each wait for a free slot polls at most max_drain_retries times.  A wait
-    or a drain that exhausts its retry budget with ops still pending reports
-    a drain_shortfall failure state (enq != deq) rather than raising.
+    A full queue waits for one free slot and the drain waits for an empty
+    queue; each wait polls at most max_drain_retries times.  A wait that
+    exhausts its budget ends the run with a drain_shortfall failure state
+    (enq != deq) rather than raising.  At depth 1 this is sequential
+    dispatch: each op is enqueued once the previous one has dequeued.
     """
     q = QueuePair(model=model, depth=depth)
     clock = 0.0
     completed = []
     for d in descriptors:
-        while not lookaside_enqueue(q, d, clock):
-            got, clock = _poll(q, q.outstanding, clock, max_drain_retries)
-            if not got:
-                return _timing_report(q, completed, clock, max_drain_retries)
-            completed.extend(got)
-
-    retry = 0
-    while q.deq_count < q.enq_count and retry < max_drain_retries:
-        got = lookaside_dequeue(q, q.enq_count - q.deq_count, clock)
-        completed.extend([(desc, t, clock) for desc, t, _ in got])
-        if q.deq_count < q.enq_count:
-            clock += model.poll_interval
-        retry += 1
+        clock = _wait(q, depth - 1, clock, max_drain_retries, completed)
+        if not lookaside_enqueue(q, d, clock):
+            return _timing_report(q, completed, clock, max_drain_retries)
+    clock = _wait(q, 0, clock, max_drain_retries, completed)
     return _timing_report(q, completed, clock, max_drain_retries)
 
 
 def run_lookaside_sequential(
-    descriptors: list[DecodeDescriptor],
-    model: LatencyModel,
-    depth: int = DEFAULT_QUEUE_DEPTH,
+    descriptors: list[DecodeDescriptor], model: LatencyModel
 ) -> BackendReport:
-    """One op at a time: enqueue, poll until it dequeues, then the next.
-
-    Each op's wait polls at most DEFAULT_DRAIN_RETRIES times; an op still
-    pending after that ends the run with a drain_shortfall failure state.
-    """
-    q = QueuePair(model=model, depth=depth)
-    clock = 0.0
-    completed = []
-    for d in descriptors:
-        lookaside_enqueue(q, d, clock)  # queue is empty between ops
-        got, clock = _poll(q, 1, clock, DEFAULT_DRAIN_RETRIES)
-        if not got:
-            break
-        completed.extend(got)
-    return decoded(_timing_report(q, completed, clock, DEFAULT_DRAIN_RETRIES), descriptors)
+    """One op at a time: the bulk queue at depth 1, plus decoded outcomes."""
+    return decoded(lookaside_bulk_report(descriptors, model, depth=1), descriptors)
 
 
 def run_lookaside_bulk(

@@ -3,11 +3,13 @@
 Both use a zero initial register and no final XOR: the CRC is the remainder
 of bits(x) * x^24 divided by the generator over GF(2).  The production path
 exploits linearity: the contribution of the bit i positions from the end is
-x^(24+i) mod g, precomputed once per variant and XOR-reduced over the set
-bits, which vectorizes cleanly.
+x^(24+i) mod g, precomputed per variant in power-of-two tables and
+XOR-reduced over the set bits, which vectorizes cleanly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,32 +21,27 @@ TB_CRC_VARIANT = "A"
 CB_CRC_VARIANT = "B"
 
 _POLYS = {"A": CRC24A_POLY, "B": CRC24B_POLY}
-_mask_cache: dict[str, np.ndarray] = {}
+
+
+@lru_cache(maxsize=None)
+def _mask_table(variant: str, size: int) -> np.ndarray:
+    """x^(24+i) mod g for i in [0, size), as read-only uint32 values."""
+    poly = _POLYS[variant]
+    out = np.empty(size, dtype=np.uint32)
+    m = poly  # x^24 mod g == low bits of g
+    for i in range(size):
+        out[i] = m
+        m <<= 1
+        if m & (1 << CRC_LEN):
+            m = (m & 0xFFFFFF) ^ poly
+    out.flags.writeable = False
+    return out
 
 
 def _masks(variant: str, length: int) -> np.ndarray:
-    """x^(24+i) mod g for i in [0, length), as uint32 values."""
-    table = _mask_cache.get(variant)
-    if table is None or len(table) < length:
-        poly = _POLYS[variant]
-        old = 0 if table is None else len(table)
-        size = max(length, 2 * old, 4096)
-        out = np.empty(size, dtype=np.uint32)
-        if table is not None:
-            out[:old] = table
-        m = poly if old == 0 else int(table[old - 1])  # x^24 mod g == low bits of g
-        start = old
-        if old == 0:
-            out[0] = m
-            start = 1
-        for i in range(start, size):
-            m <<= 1
-            if m & (1 << CRC_LEN):
-                m = (m & 0xFFFFFF) ^ poly
-            out[i] = m
-        _mask_cache[variant] = out
-        table = out
-    return table[:length]
+    """The first ``length`` masks, sliced from a power-of-two table of at
+    least 4096 entries."""
+    return _mask_table(variant, max(4096, 1 << (length - 1).bit_length()))[:length]
 
 
 def crc24(bits: np.ndarray, variant: str) -> int:

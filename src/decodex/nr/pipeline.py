@@ -116,14 +116,10 @@ def reassemble(decoded_blocks: list[np.ndarray], tb: TransportBlock) -> Reassemb
     chunk = plan.bits_per_chunk
     cb_ok = []
     parts = []
-    for i, bits in enumerate(decoded_blocks):
+    for bits in decoded_blocks:
         data = np.asarray(bits, dtype=np.uint8)[: plan.k_prime]
-        if plan.c > 1:
-            cb_ok.append(check_crc(data, CB_CRC_VARIANT))
-            parts.append(data[:chunk])
-        else:
-            cb_ok.append(True)
-            parts.append(data[:chunk])
+        cb_ok.append(plan.c == 1 or check_crc(data, CB_CRC_VARIANT))
+        parts.append(data[:chunk])
     stream = np.concatenate(parts)[: tb.b + TB_CRC_LEN]
     tb_ok = check_crc(stream, TB_CRC_VARIANT)
     return ReassembledBlock(

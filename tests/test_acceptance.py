@@ -5,10 +5,12 @@ the real decoder; virtual-clock criteria are deterministic and asserted at
 exact tolerances.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from decodex.backends import lookaside_default, run_lookaside_bulk
+from decodex.backends import cpu_decode_batch, lookaside_default, run_lookaside_bulk
 from decodex.bench import run_bulk_study, run_cell, run_iteration_study, run_parallel_study
 from decodex.ldpc import decode_layered_minsum, encode
 from decodex.nr.crc import CRC24A_POLY, CRC24B_POLY, crc24
@@ -121,14 +123,31 @@ def test_criterion_4_iterations_track_snr():
 
 @pytest.fixture(scope="module")
 def prb_sweep_records():
-    cpu = [run_cell("cpu", 9, 8.0, prb, 30, seed=505) for prb in (50, 100, 150, 200)]
-    look = [run_cell("lookaside", 9, 8.0, prb, 30, seed=505) for prb in (50, 100, 150, 200)]
-    return cpu, look
+    """Mean per-TB CPU latency per PRB (the TBs run_cell's cpu cells decode,
+    on one worker), and the lookaside records.
+
+    The host's speed drifts between and within runs.  So after one warm-up
+    decode per cell, which fills its shape caches, the cells' TBs are decoded
+    one at a time with the four cells interleaved TB by TB, and each TB keeps
+    its fastest latency over 3 such repeats.
+    """
+    prbs = (50, 100, 150, 200)
+    cells = [generate_cell_vectors(9, prb, 8.0, 30, seed=505) for prb in prbs]
+    for vectors in cells:
+        cpu_decode_batch(vectors[0].descriptors, workers=1)
+    fastest = [[math.inf] * 30 for _ in prbs]
+    for _ in range(3):
+        for i, same_index in enumerate(zip(*cells)):
+            for per_tb, vec in zip(fastest, same_index):
+                (us,) = cpu_decode_batch(vec.descriptors, workers=1).tb_latency_us.values()
+                per_tb[i] = min(per_tb[i], us)
+    cpu_means = [float(np.mean(per_tb)) for per_tb in fastest]
+    look = [run_cell("lookaside", 9, 8.0, prb, 30, seed=505) for prb in prbs]
+    return cpu_means, look
 
 
 def test_criterion_5_cpu_latency_grows_with_prb(prb_sweep_records):
-    cpu, _ = prb_sweep_records
-    means = [r.mean_us for r in cpu]
+    means, _ = prb_sweep_records
     ok = all(a < b for a, b in zip(means, means[1:]))
     _report("criterion 5 (CPU latency strictly increasing in PRB)", ok,
             "PRB 50..200 -> " + " / ".join(f"{m:.0f}us" for m in means))
@@ -185,10 +204,16 @@ def test_criterion_8_parallel_kernel_ratio_and_utilization():
 # --- 9. iteration/size study -----------------------------------------------
 
 def test_criterion_9_latency_grows_with_iters_and_k():
-    rows = run_iteration_study(
-        k_list=[1936, 4224, 8440], rate_list=[0.33, 0.88], iter_list=[2, 4, 8], repeats=10
-    )
-    table = {(r.k, r.rate, r.iterations): r.mean_us for r in rows}
+    # The host's speed drifts, so after a warm-up each row keeps its fastest
+    # mean over 10 short studies (2 timed decodes a row, about 1 s a study):
+    # rows compared against each other are measured seconds apart at most.
+    study = dict(k_list=[1936, 4224, 8440], rate_list=[0.33, 0.88], iter_list=[2, 4, 8])
+    run_iteration_study(**study, repeats=1)
+    table = {}
+    for _ in range(10):
+        for r in run_iteration_study(**study, repeats=2):
+            key = (r.k, r.rate, r.iterations)
+            table[key] = min(table.get(key, math.inf), r.mean_us)
     iters_ok = all(
         table[(k, rate, 2)] < table[(k, rate, 4)] < table[(k, rate, 8)]
         for k in (1936, 4224, 8440)

@@ -43,7 +43,7 @@ def _ops(n):
     return [d for v in generate_cell_vectors(0, 2, 30.0, n, seed=2) for d in v.descriptors]
 
 
-@pytest.mark.parametrize("runner", [run_lookaside_sequential, run_lookaside_bulk])
+@pytest.mark.parametrize("runner", [run_lookaside_bulk])
 def test_zero_queue_depth_is_rejected(runner):
     with deadline(10), pytest.raises(ValueError, match="depth"):
         runner(_ops(2), lookaside_default(), depth=0)

@@ -1,11 +1,13 @@
 """Properties of the virtual-clock timing models over random models and loads.
 
 Every run ends with finite, non-negative times; a lookaside drain with the
-default retry budget delivers every op it accepted; and no model reports
-less total time for more work.
+default retry budget delivers every op it accepted; no model reports less
+total time for more work; and sequential lookaside dispatch is the bulk queue
+at depth 1.
 """
 
 import math
+from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +53,7 @@ def _finite_non_negative(*values):
 @given(models(), st.integers(0, N_MAX - 1), st.integers(1, N_MAX))
 def test_lookaside_runs_are_finite_conserved_and_monotone(model, n, depth):
     runs = [
-        lambda ops: run_lookaside_sequential(ops, model, depth=depth),
+        lambda ops: run_lookaside_sequential(ops, model),
         lambda ops: run_lookaside_bulk(ops, model, depth=depth),
     ]
     for run in runs:
@@ -61,6 +63,23 @@ def test_lookaside_runs_are_finite_conserved_and_monotone(model, n, depth):
             assert report.enq_count == report.deq_count
             assert _finite_non_negative(report.total_us, *report.tb_latency_us.values())
         assert more.total_us >= fewer.total_us
+
+
+def _report_fields(report):
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    values["outcomes"] = [
+        (o.tb_id, o.cb_id, o.output_slot, o.bits.tobytes(), o.iterations_used, o.converged)
+        for o in report.outcomes
+    ]
+    return values
+
+
+@settings(max_examples=30, deadline=None)
+@given(models(), st.integers(0, N_MAX))
+def test_sequential_lookaside_is_the_bulk_queue_at_depth_one(model, n):
+    sequential = run_lookaside_sequential(_OPS[:n], model)
+    bulk = run_lookaside_bulk(_OPS[:n], model, depth=1)
+    assert _report_fields(sequential) == _report_fields(bulk)
 
 
 @settings(max_examples=200, deadline=None)
