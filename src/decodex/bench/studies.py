@@ -157,9 +157,11 @@ def run_iteration_study(
     """Wall-clock CPU decode time with early termination disabled.
 
     K is the per-CB information length including the TB CRC; the code rate
-    sets the rate-matched length E = ceil(K / rate).
+    sets the rate-matched length E = ceil(K / rate).  Each of the ``repeats``
+    rounds times one decode of every row, so a drift in host speed spreads
+    over all rows instead of reordering them.
     """
-    rows = []
+    cases = []
     for k in k_list:
         for rate in rate_list:
             b = k - 24
@@ -177,20 +179,21 @@ def run_iteration_study(
             params = replace(plan.params[0], e=split_coded_bits(e_total, plan.c)[0])
             cw = encode(blocks[0], params)
             llr = rate_dematch(bits_to_llrs(rate_match(cw, params)), params)
-            for iters in iter_list:
-                # untimed warmup absorbs matrix expansion and cache faults
-                decode_layered_minsum(llr, params, max_iterations=iters,
-                                      early_termination=False)
-                times = []
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    decode_layered_minsum(
-                        llr, params, max_iterations=iters, early_termination=False
-                    )
-                    times.append((time.perf_counter() - t0) * 1e6)
-                rows.append(
-                    IterationStudyRow(
-                        k=k, rate=rate, iterations=iters, mean_us=float(np.mean(times))
-                    )
-                )
-    return rows
+            cases += [(k, rate, iters, llr, params) for iters in iter_list]
+
+    def decode(case):
+        _, _, iters, llr, params = case
+        decode_layered_minsum(llr, params, max_iterations=iters, early_termination=False)
+
+    for case in cases:  # untimed warmup absorbs matrix expansion and cache faults
+        decode(case)
+    times = [[] for _ in cases]
+    for _ in range(repeats):
+        for case, row_times in zip(cases, times):
+            t0 = time.perf_counter()
+            decode(case)
+            row_times.append((time.perf_counter() - t0) * 1e6)
+    return [
+        IterationStudyRow(k=k, rate=rate, iterations=iters, mean_us=float(np.mean(row_times)))
+        for (k, rate, iters, _, _), row_times in zip(cases, times)
+    ]

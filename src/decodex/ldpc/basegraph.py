@@ -47,6 +47,10 @@ LIFTING_SETS = (
 
 ALL_LIFTING_SIZES = tuple(sorted(z for s in LIFTING_SETS for z in s))
 
+# Largest base-row degree the compiled decoder's per-lane scratch holds
+# (BG1 peaks at 19); expansion rejects a graph with a denser row.
+MAX_ROW_DEGREE = 32
+
 
 class ConfigurationError(ValueError):
     """Invalid coding configuration (bad zc/set pairing, bad table file...)."""
@@ -159,7 +163,9 @@ class ParityCheckMatrix:
     Each layer holds the block-columns and zc-reduced shifts of one base row.
     ``gather`` maps a layer's circulants into flat codeword indices so that
     row ``e`` of ``flat[gather[layer][e]]`` equals the e-th circulant applied
-    to its block-column.
+    to its block-column.  ``edges`` and ``degrees`` are the compiled decoder's
+    int32 form of the same graph: one ``(col * zc, shift)`` row per circulant,
+    layer after layer, and the number of circulants in each layer.
     """
 
     bg_id: int
@@ -169,6 +175,8 @@ class ParityCheckMatrix:
     base_cols: int
     layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     gather: tuple[np.ndarray, ...] = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    degrees: np.ndarray = field(repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -208,11 +216,17 @@ def expand_base_graph(bg_id: int, zc: int, set_index: int) -> ParityCheckMatrix:
         row_entries = sorted(
             (c, s[set_index] % zc) for (rr, c), s in bg.entries.items() if rr == r
         )
+        if len(row_entries) > MAX_ROW_DEGREE:
+            raise ConfigurationError(
+                f"BG{bg_id} row {r} has degree {len(row_entries)}, "
+                f"above the decoder's limit of {MAX_ROW_DEGREE}"
+            )
         cols = np.array([c for c, _ in row_entries], dtype=np.int64)
         shf = np.array([s for _, s in row_entries], dtype=np.int64)
         idx = cols[:, None] * zc + (shf[:, None] + lane[None, :]) % zc
         layers.append((cols, shf))
         gather.append(idx)
+    edges = np.concatenate([np.stack([c * zc, s], axis=1) for c, s in layers])
     return ParityCheckMatrix(
         bg_id=bg_id,
         zc=zc,
@@ -221,4 +235,6 @@ def expand_base_graph(bg_id: int, zc: int, set_index: int) -> ParityCheckMatrix:
         base_cols=bg.cols,
         layers=tuple(layers),
         gather=tuple(gather),
+        edges=edges.astype(np.int32),
+        degrees=np.array([c.size for c, _ in layers], dtype=np.int32),
     )

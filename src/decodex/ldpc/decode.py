@@ -4,18 +4,23 @@ Soft values cross the interface as saturating signed 8-bit LLRs (positive
 means bit 0 is more likely).  Inside the decoder, posterior accumulators are
 kept in int32 and the check-to-variable messages are re-saturated to
 [-127, 127] on write-back, mirroring fixed-point accelerator behaviour.
+The sweeps run in a compiled C kernel (minsum.c, loaded by kernel.py); the
+numpy loop kept here is its reference and the fallback without a compiler.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basegraph import ParityCheckMatrix, expand_base_graph
+from .kernel import minsum_kernel
 from .params import CodeBlockParams
 
 LLR_MAX = 127
+MAX_ITERATIONS = 2**31 - 1  # the kernel counts sweeps in a C int
 
 
 @dataclass(frozen=True)
@@ -51,21 +56,50 @@ def decode_layered_minsum(
     A full sweep over all layers counts as one iteration; after each sweep
     the full hard decision is syndrome-checked and decoding stops early on
     success.  Statistics (iterations_used, converged) and bits are a pure
-    function of the inputs.
+    function of the inputs.  The sweeps run in the compiled kernel when the
+    system has a C compiler, else in the numpy reference; both give the same
+    bits and statistics.
+
+    LLRs must be integers in the int8 range: the int32 posteriors then stay
+    within 127 * (1 + column degree), far from overflow.
     """
     llr = np.asarray(llr)
     if llr.shape != (params.n_full,):
         raise ValueError(f"expected {params.n_full} LLRs, got {llr.shape}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    if not np.issubdtype(llr.dtype, np.integer):
+        raise ValueError(f"LLRs must be integers, got dtype {llr.dtype}")
+    if llr.dtype != np.int8 and llr.size and (llr.min() < -128 or llr.max() > 127):
+        raise ValueError("LLRs must lie in the int8 range [-128, 127]")
+    if not 1 <= max_iterations <= MAX_ITERATIONS:
+        raise ValueError(f"max_iterations must be in [1, {MAX_ITERATIONS}]")
     if not 0.0 < norm_factor <= 1.0:
         raise ValueError("norm_factor must be in (0, 1]")
 
     pcm = expand_base_graph(params.bg, params.zc, params.set_index)
     app = llr.astype(np.int32)
-    c2v = [np.zeros(idx.shape, dtype=np.int32) for idx in pcm.gather]
     norm_q12 = int(norm_factor * 4096)  # 12-bit fixed-point scaling
+    sweeps = _reference_sweeps if minsum_kernel() is None else _compiled_sweeps
+    iterations, converged = sweeps(app, pcm, max_iterations, norm_q12, early_termination)
+    bits = (app[: params.k] < 0).astype(np.uint8)
+    return DecodeResult(bits=bits, iterations_used=iterations, converged=converged)
 
+
+def _compiled_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
+    """The sweeps of ``decode_layered_minsum`` in minsum.c; updates ``app``
+    in place and returns (iterations_used, converged)."""
+    c2v = np.zeros(len(pcm.edges) * pcm.zc, dtype=np.int32)
+    converged = ctypes.c_int()
+    iterations = minsum_kernel()(
+        app, c2v, pcm.edges, pcm.degrees, pcm.base_rows, pcm.zc,
+        max_iterations, norm_q12, early_termination, ctypes.byref(converged),
+    )
+    return iterations, bool(converged.value)
+
+
+def _reference_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
+    """The numpy reference of ``_compiled_sweeps``, same contract: the oracle
+    the tests hold the kernel to, and the decoder where no compiler is."""
+    c2v = [np.zeros(idx.shape, dtype=np.int32) for idx in pcm.gather]
     iterations = 0
     converged = False
     for _ in range(max_iterations):
@@ -90,6 +124,4 @@ def decode_layered_minsum(
             break
     if not early_termination:
         converged = syndrome_check(pcm, app < 0)
-
-    bits = (app[: params.k] < 0).astype(np.uint8)
-    return DecodeResult(bits=bits, iterations_used=iterations, converged=converged)
+    return iterations, converged

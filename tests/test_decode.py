@@ -92,6 +92,8 @@ def test_preconditions_rejected():
     with pytest.raises(ValueError):
         decode_layered_minsum(llr, params, max_iterations=0)
     with pytest.raises(ValueError):
+        decode_layered_minsum(llr, params, max_iterations=2**32 + 1)  # a C int would wrap to 1
+    with pytest.raises(ValueError):
         decode_layered_minsum(llr, params, norm_factor=0.0)
     with pytest.raises(ValueError):
         decode_layered_minsum(llr, params, norm_factor=1.5)
@@ -130,3 +132,34 @@ def test_mean_iterations_track_snr():
         means.append(np.mean(iters))
     assert means[0] <= means[1] <= means[2]
     assert means[0] < means[2]
+
+
+@pytest.mark.parametrize(
+    "make_llr",
+    [
+        lambda n: np.full(n, 0.9),
+        lambda n: np.full(n, np.nan),
+        lambda n: np.full(n, 5_000_000_000),
+        lambda n: np.full(n, 128, dtype=np.int16),
+        lambda n: np.full(n, -129),
+    ],
+    ids=["float", "nan", "int64-wraps-int32", "above-int8", "below-int8"],
+)
+def test_unrepresentable_llrs_rejected(make_llr):
+    """Floats used to truncate (0.9 -> 0, "converged"), NaN to become INT_MIN
+    and 5e9 to wrap; the decoder takes integers in the int8 range only."""
+    params = make_params(2, 36, 4, 10)
+    with pytest.raises(ValueError, match="LLRs must"):
+        decode_layered_minsum(make_llr(params.n_full), params)
+
+
+def test_int8_range_llrs_decode_alike_in_any_integer_dtype():
+    params = make_params(2, 36, 4, 10)
+    rng = np.random.default_rng(41)
+    llr = rng.integers(-128, 128, params.n_full).astype(np.int8)
+    llr[:2] = (-128, 127)
+    want = decode_layered_minsum(llr, params, max_iterations=6)
+    for dtype in (np.int16, np.int32, np.int64):
+        got = decode_layered_minsum(llr.astype(dtype), params, max_iterations=6)
+        assert np.array_equal(got.bits, want.bits)
+        assert (got.iterations_used, got.converged) == (want.iterations_used, want.converged)

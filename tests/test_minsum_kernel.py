@@ -1,0 +1,130 @@
+"""The compiled min-sum kernel against its numpy oracle, and how it is built.
+
+The kernel (ldpc/minsum.c) must give the numpy reference's posteriors,
+iteration count and convergence flag exactly, on every base graph and lifting
+size.  Where it cannot be built the decoder falls back to the reference and
+says so in one warning, and where a compiler exists the kernel must be the
+path that runs.
+"""
+
+import logging
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decodex.ldpc import (
+    ALL_LIFTING_SIZES,
+    BG_DIMS,
+    ConfigurationError,
+    decode_layered_minsum,
+    encode,
+    expand_base_graph,
+    make_params,
+    set_index_for_zc,
+)
+from decodex.ldpc import basegraph, kernel
+from decodex.ldpc.decode import _compiled_sweeps, _reference_sweeps
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
+
+
+def _params(bg, zc):
+    return make_params(bg, zc, set_index_for_zc(zc), BG_DIMS[bg][2])
+
+
+def _llrs(params, seed, magnitude, noise):
+    """A random codeword's LLRs at ``magnitude`` plus uniform integer noise,
+    saturated to int8."""
+    rng = np.random.default_rng(seed)
+    cw = encode(rng.integers(0, 2, params.k, dtype=np.uint8), params)
+    clean = (1 - 2 * cw.astype(np.int32)) * magnitude
+    return np.clip(clean + rng.integers(-noise, noise + 1, params.n_full), -128, 127).astype(np.int8)
+
+
+@needs_cc
+def test_kernel_is_active_when_a_compiler_is_present():
+    assert kernel.minsum_kernel() is not None
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(
+    bg=st.sampled_from([0, 1, 2]),
+    zc=st.sampled_from(ALL_LIFTING_SIZES),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.integers(0, 127),
+    noise=st.integers(0, 128),
+    max_iterations=st.integers(1, 40),
+    early_termination=st.booleans(),
+    norm_factor=st.sampled_from([0.75, 0.5, 1.0, 0.8125]),
+)
+def test_kernel_equals_the_numpy_reference(
+    bg, zc, seed, magnitude, noise, max_iterations, early_termination, norm_factor
+):
+    params = _params(bg, zc)
+    pcm = expand_base_graph(params.bg, params.zc, params.set_index)
+    llr = _llrs(params, seed, magnitude, noise)
+    norm_q12 = int(norm_factor * 4096)
+    compiled, reference = llr.astype(np.int32), llr.astype(np.int32)
+    got = _compiled_sweeps(compiled, pcm, max_iterations, norm_q12, early_termination)
+    want = _reference_sweeps(reference, pcm, max_iterations, norm_q12, early_termination)
+    assert got == want
+    assert np.array_equal(compiled, reference)
+
+
+@pytest.mark.parametrize("failure", ["no-compiler", pytest.param("build-error", marks=needs_cc)])
+def test_decoding_falls_back_to_the_reference_with_one_warning(
+    monkeypatch, tmp_path, caplog, failure
+):
+    params = _params(2, 36)
+    llr = _llrs(params, seed=3, magnitude=12, noise=20)
+    expected = decode_layered_minsum(llr, params, max_iterations=8)
+    if failure == "no-compiler":
+        monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
+    else:
+        monkeypatch.setattr(kernel, "CFLAGS", kernel.CFLAGS + ("-fno-such-option",))
+        monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path)
+    kernel.minsum_kernel.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger=kernel.__name__):
+            results = [decode_layered_minsum(llr, params, max_iterations=8) for _ in range(2)]
+            assert kernel.minsum_kernel() is None
+    finally:
+        monkeypatch.undo()
+        kernel.minsum_kernel.cache_clear()
+    for got in results:
+        assert np.array_equal(got.bits, expected.bits)
+        assert (got.iterations_used, got.converged) == (expected.iterations_used, expected.converged)
+    assert len(caplog.records) == 1
+    assert "numpy reference" in caplog.text
+    if failure == "build-error":
+        assert "no-such-option" in caplog.text  # the compiler's own message
+        assert list(tmp_path.iterdir()) == []  # no half-written library left
+
+
+@needs_cc
+def test_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path)
+    cc = shutil.which("cc")
+    first = kernel._build(cc)
+    built_at = first.stat().st_mtime_ns
+    assert kernel._build(cc) == first
+    assert first.stat().st_mtime_ns == built_at
+    monkeypatch.setattr(kernel, "CFLAGS", kernel.CFLAGS + ("-DUNUSED_MACRO",))
+    second = kernel._build(cc)
+    assert second != first
+    assert sorted(tmp_path.iterdir()) == sorted([first, second])
+
+
+def test_row_degree_above_the_kernel_scratch_is_rejected(monkeypatch):
+    monkeypatch.setattr(basegraph, "MAX_ROW_DEGREE", 18)  # BG1's densest row has 19
+    expand_base_graph.cache_clear()
+    try:
+        with pytest.raises(ConfigurationError, match="degree 19"):
+            expand_base_graph(1, 64, 0)
+        assert expand_base_graph(2, 64, 0).degrees.max() == 10
+    finally:
+        expand_base_graph.cache_clear()

@@ -52,3 +52,27 @@ def test_iteration_study_rejects_multi_block_k():
 def test_iteration_study_rejects_k_below_crc():
     with pytest.raises(ConfigurationError):
         run_iteration_study(k_list=[24], rate_list=[0.5], iter_list=[2], repeats=1)
+
+
+def test_iteration_study_times_its_rows_round_robin(monkeypatch):
+    """Every row is warmed up once, then each repeat round decodes every row
+    once, so drift in host speed cannot reorder the rows."""
+    from decodex.bench import studies
+    from decodex.ldpc import DecodeResult
+
+    calls = []
+
+    def recording_decode(llr, params, max_iterations, early_termination):
+        assert early_termination is False
+        calls.append((params.k, max_iterations))
+        return DecodeResult(bits=llr[: params.k] < 0, iterations_used=max_iterations,
+                            converged=False)
+
+    monkeypatch.setattr(studies, "decode_layered_minsum", recording_decode)
+    rows = run_iteration_study(k_list=[1936, 4224], rate_list=[0.33], iter_list=[2, 8],
+                               repeats=3)
+    order = [(r.k, r.iterations) for r in rows]
+    assert order == [(1936, 2), (1936, 8), (4224, 2), (4224, 8)]
+    keys = calls[:4]
+    assert len(set(keys)) == 4
+    assert calls == keys * 4  # warm-up round, then 3 timed rounds
