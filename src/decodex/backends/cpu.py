@@ -89,7 +89,7 @@ def cpu_decode_batch(descriptors: list[DecodeDescriptor], workers: int = 1) -> B
     tasks = sorted(groups.items())
 
     minsum_kernel()  # load it before the clock starts, once for every forked worker
-    report = BackendReport(backend="cpu", clock_type="wall")
+    report = BackendReport(clock_type="wall")
     batch_start = time.perf_counter()
     if workers == 1 or len(tasks) <= 1:
         results = [_decode_tb(t) for t in tasks]

@@ -94,7 +94,6 @@ def inline_timing_parallel(
 
 def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming) -> BackendReport:
     return BackendReport(
-        backend="inline",
         clock_type="virtual",
         tb_latency_us={batch[0].tb_id: us for batch, us in zip(tb_batches, timing.tb_us)},
         total_us=timing.total_us,

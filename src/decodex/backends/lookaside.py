@@ -81,7 +81,6 @@ def lookaside_dequeue(
 
 def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> BackendReport:
     report = BackendReport(
-        backend="lookaside",
         clock_type="virtual",
         total_us=clock,
         enq_count=q.enq_count,

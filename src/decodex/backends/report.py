@@ -30,7 +30,6 @@ class BackendReport:
     drain shortfall instead of raising.
     """
 
-    backend: str
     clock_type: str
     tb_latency_us: dict[int, float] = field(default_factory=dict)
     outcomes: list[DecodeOutcome] = field(default_factory=list)

@@ -15,7 +15,7 @@ import sys
 from ..backends import DEFAULT_MODELS, model_from_mapping
 from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
-from .emit import emit
+from .emit import emit, render_csv
 from .studies import run_bulk_study, run_iteration_study, run_parallel_study
 from .sweep import SweepConfig, run_sweep
 
@@ -82,11 +82,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _write_table(rows, fields, out):
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(f"{getattr(row, f):.6g}" if isinstance(getattr(row, f), float)
-                              else str(getattr(row, f)) for f in fields))
-    text = "\n".join(lines) + "\n"
+    text = render_csv(rows, fields)
     if out == "-":
         sys.stdout.write(text)
     else:

@@ -21,10 +21,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_csv(records: list[SweepRecord]) -> str:
-    lines = [CSV_HEADER]
+def render_csv(records: list, fields: tuple[str, ...] = EMIT_FIELDS) -> str:
+    """One CSV row per record over ``fields``: floats to 6 significant
+    digits, None as an empty cell."""
+    lines = [",".join(fields)]
     for r in records:
-        lines.append(",".join(_cell(getattr(r, f)) for f in EMIT_FIELDS))
+        lines.append(",".join(_cell(getattr(r, f)) for f in fields))
     return "\n".join(lines) + "\n"
 
 

@@ -55,6 +55,8 @@ def run_bulk_study(
     Ops are single-CB transport blocks small enough that their real decode
     stays cheap; timing depends only on the model.
     """
+    if not n_ops_list or min(n_ops_list) < 1:
+        raise ConfigurationError(f"n_ops must be a non-empty list of counts >= 1: {n_ops_list}")
     model = model or lookaside_default()
     rows = []
     n_max = max(n_ops_list)
@@ -161,6 +163,8 @@ def run_iteration_study(
     rounds times one decode of every row, so a drift in host speed spreads
     over all rows instead of reordering them.
     """
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     cases = []
     for k in k_list:
         for rate in rate_list:

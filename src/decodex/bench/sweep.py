@@ -5,10 +5,11 @@ chain (encode, modulate, AWGN, demap, de-match) and decodes every code block
 once, on the CPU worker pool.  Every backend then reduces the same decoded
 outcomes to one SweepRecord.  The cpu backend's latency is the wall clock of
 that decode, which takes the whole cell as one batch so the pool can spread
-TBs across cores.  The virtual-clock backends add only their timing, on one
-TB per submission, so their reported latency is the isolated per-TB round
-trip.  Cells execute sequentially and derive their seeds from the master
-seed, so a sweep is reproducible end to end (bit-exactly on virtual clocks).
+TBs across cores.  The virtual-clock backends add only their timing, one TB
+at a time (lookaside_bulk_report, or inline_parallel_report for one launch),
+so their reported latency is the isolated per-TB round trip.  Cells execute
+sequentially and derive their seeds from the master seed, so a sweep is
+reproducible end to end (bit-exactly on virtual clocks).
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ def _cell_records(
     backend of the config, in its order.
 
     A virtual backend delivers the decoded outcomes of the ops it completed.
-    A TB fails when it is not fully delivered or when any of its CRCs (per-CB
-    or TB-level) fail after decode.  Backend failure states surface in the
-    record instead of aborting.
+    A TB fails when it is not fully delivered, when any of its CRCs (per-CB
+    or TB-level) fail after decode, or when its reassembled payload differs
+    from the transmitted one.  Backend failure states surface in the record
+    instead of aborting.
     """
     vectors = generate_cell_vectors(mcs, prb, snr_db, config.n_tb, seed, config.max_iterations)
     batches = [v.descriptors for v in vectors]
@@ -99,15 +101,20 @@ def _cell_records(
     for o in cpu.outcomes:
         by_tb.setdefault(o.tb_id, []).append(o)
     outcomes = [by_tb[b[0].tb_id] for b in batches]
-    tb_ok = [reassemble([o.bits for o in outs], v.tb).ok for v, outs in zip(vectors, outcomes)]
+    results = [reassemble([o.bits for o in outs], v.tb) for v, outs in zip(vectors, outcomes)]
+    tb_ok = [r.ok and np.array_equal(r.payload_bits, v.tb.payload_bits)
+             for r, v in zip(results, vectors)]
 
     records = []
     for kind in config.backends:
         if kind == "cpu":
             reports, delivered = [cpu], outcomes
         else:
-            backend = backends.make_backend(kind, model=config.models.get(kind))
-            reports = [backend.time(b) for b in batches]
+            model = config.models.get(kind) or backends.DEFAULT_MODELS[kind]()
+            if kind == "lookaside":
+                reports = [backends.lookaside_bulk_report(b, model) for b in batches]
+            else:
+                reports = [backends.inline_parallel_report([b], model) for b in batches]
             delivered = [outs[: r.deq_count] for outs, r in zip(outcomes, reports)]
         errors = sum(
             not (ok and len(outs) == len(b)) for ok, outs, b in zip(tb_ok, delivered, batches)

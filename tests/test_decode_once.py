@@ -14,7 +14,6 @@ from decodex.backends import (
     inline_decode_sequential,
     inline_default,
     lookaside_default,
-    make_backend,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
@@ -63,18 +62,14 @@ def _without_llr():
     "entry",
     [
         lambda d: cpu_decode_batch([d]),
-        lambda d: make_backend("cpu").submit([d]),
         lambda d: run_lookaside_sequential([d], lookaside_default()),
         lambda d: run_lookaside_bulk([d], lookaside_default()),
-        lambda d: make_backend("lookaside").submit([d]),
         lambda d: inline_decode_sequential([[d]], inline_default()),
         lambda d: inline_decode_parallel([[d]], inline_default()),
-        lambda d: make_backend("inline-unified").submit([d]),
     ],
     ids=[
-        "cpu_decode_batch", "cpu-submit", "run_lookaside_sequential", "run_lookaside_bulk",
-        "lookaside-submit", "inline_decode_sequential", "inline_decode_parallel",
-        "inline-unified-submit",
+        "cpu_decode_batch", "run_lookaside_sequential", "run_lookaside_bulk",
+        "inline_decode_sequential", "inline_decode_parallel",
     ],
 )
 def test_missing_llr_is_one_named_error(entry):

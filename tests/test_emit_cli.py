@@ -153,6 +153,11 @@ def test_cli_studies_to_stdout(capsys):
     assert out.startswith("n_ue,sequential_kernel_us")
 
 
+def test_cli_study_input_error_exit_code(capsys):
+    assert main(["bulk-study", "--n-ops", "0"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "decodex.bench.cli", "--help"],

@@ -12,7 +12,6 @@ from decodex.backends import (
     inline_default,
     inline_timing_parallel,
     inline_timing_sequential,
-    make_backend,
     unified_default,
 )
 from decodex.phy import generate_cell_vectors
@@ -103,14 +102,8 @@ def test_unified_variant_zeroes_transfer_costs():
     assert m.transfer_per_byte == 0.0
     assert m.dma_overhead == 0.0
     batches = _batches(2)
-    unified = make_backend("inline-unified").submit([d for b in batches for d in b])
-    inline = make_backend("inline").submit([d for b in batches for d in b])
+    unified = inline_decode_parallel(batches, m)
+    inline = inline_decode_parallel(batches, inline_default())
     assert unified.total_us < inline.total_us  # transfers removed
-    assert unified.backend == "inline-unified"
     kernel_only = inline_timing_parallel([len(b) for b in batches], m).kernel_us
     assert unified.total_us == pytest.approx(kernel_only)
-
-
-def test_unknown_backend_kind_rejected():
-    with pytest.raises(ValueError):
-        make_backend("fpga")

@@ -76,3 +76,18 @@ def test_iteration_study_times_its_rows_round_robin(monkeypatch):
     keys = calls[:4]
     assert len(set(keys)) == 4
     assert calls == keys * 4  # warm-up round, then 3 timed rounds
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda: run_bulk_study([]),
+        lambda: run_bulk_study([0]),
+        lambda: run_bulk_study([-1]),
+        lambda: run_iteration_study(repeats=0),
+    ],
+    ids=["bulk-empty", "bulk-zero", "bulk-negative", "iteration-zero-repeats"],
+)
+def test_study_edge_inputs_are_named_errors(study):
+    with pytest.raises(ConfigurationError):
+        study()

@@ -92,6 +92,12 @@ def test_failing_cell_still_emits_a_record():
     assert math.isnan(records[0].bler)
 
 
+def test_bler_is_judged_against_the_transmitted_payload():
+    """At -40 dB every LLR is zero: each CB decodes to the all-zero word,
+    whose CRCs pass, though the transmitted payload was random."""
+    assert run_cell("cpu", 4, -40.0, 10, 20, seed=1).bler == 1.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(backends=())

@@ -16,7 +16,6 @@ from decodex.backends import (
     inline_timing_parallel,
     inline_timing_sequential,
     lookaside_default,
-    make_backend,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
@@ -72,10 +71,8 @@ def test_empty_inline_timing_is_zero_work(timing):
     [
         lambda: inline_decode_sequential([], inline_default()),
         lambda: inline_decode_parallel([], inline_default()),
-        lambda: make_backend("inline").submit([]),
-        lambda: make_backend("inline-unified").submit([]),
     ],
-    ids=["sequential", "parallel", "inline-submit", "inline-unified-submit"],
+    ids=["sequential", "parallel"],
 )
 def test_empty_inline_run_is_zero_work(run):
     report = run()
