@@ -16,9 +16,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from ..ldpc import decode_layered_minsum
-from ..ldpc.kernel import minsum_kernel
-from .descriptor import DecodeDescriptor
+from ..ldpc import decode_layered_minsum, minsum_kernel
+from ..nr import DecodeDescriptor
 from .report import BackendReport, DecodeOutcome
 
 
@@ -34,7 +33,6 @@ def decode_outcomes(descriptors: list[DecodeDescriptor]) -> list[DecodeOutcome]:
             DecodeOutcome(
                 tb_id=d.tb_id,
                 cb_id=d.cb_id,
-                output_slot=d.output_slot,
                 bits=res.bits,
                 iterations_used=res.iterations_used,
                 converged=res.converged,

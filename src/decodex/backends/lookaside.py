@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
+from ..nr import DecodeDescriptor
 from .cpu import decoded
-from .descriptor import DecodeDescriptor
 from .model import LatencyModel
 from .report import BackendReport
 

@@ -13,7 +13,6 @@ class DecodeOutcome:
 
     tb_id: int
     cb_id: int
-    output_slot: int
     bits: np.ndarray
     iterations_used: int
     converged: bool

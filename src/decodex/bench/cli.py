@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -16,7 +17,14 @@ from ..backends import DEFAULT_MODELS, model_from_mapping
 from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
 from .emit import emit, render_csv
-from .studies import run_bulk_study, run_iteration_study, run_parallel_study
+from .studies import (
+    BulkStudyRow,
+    IterationStudyRow,
+    ParallelStudyRow,
+    run_bulk_study,
+    run_iteration_study,
+    run_parallel_study,
+)
 from .sweep import SweepConfig, run_sweep
 
 EXIT_OK = 0
@@ -81,8 +89,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_CELL_FAILURE if failures else EXIT_OK
 
 
-def _write_table(rows, fields, out):
-    text = render_csv(rows, fields)
+def _write_table(row_type, rows, out):
+    """Render study rows as CSV with one column per field of ``row_type``."""
+    text = render_csv(rows, tuple(f.name for f in dataclasses.fields(row_type)))
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -92,27 +101,13 @@ def _write_table(rows, fields, out):
 
 def _cmd_bulk_study(args) -> int:
     n_ops = list(_parse_list(args.n_ops, int))
-    rows = run_bulk_study(n_ops)
-    _write_table(rows, ("n_ops", "sequential_tput", "bulk_tput", "ratio"), args.out)
+    _write_table(BulkStudyRow, run_bulk_study(n_ops), args.out)
     return EXIT_OK
 
 
 def _cmd_parallel_study(args) -> int:
     n_ue = list(_parse_list(args.ue, int))
-    rows = run_parallel_study(n_ue, args.prb, mcs=args.mcs)
-    _write_table(
-        rows,
-        (
-            "n_ue",
-            "sequential_kernel_us",
-            "parallel_kernel_us",
-            "sequential_total_us",
-            "parallel_total_us",
-            "sequential_utilization",
-            "parallel_utilization",
-        ),
-        args.out,
-    )
+    _write_table(ParallelStudyRow, run_parallel_study(n_ue, args.prb, mcs=args.mcs), args.out)
     return EXIT_OK
 
 
@@ -122,7 +117,7 @@ def _cmd_iter_study(args) -> int:
         rate_list=list(_parse_list(args.rates, float)),
         iter_list=list(_parse_list(args.iters, int)),
     )
-    _write_table(rows, ("k", "rate", "iterations", "mean_us"), args.out)
+    _write_table(IterationStudyRow, rows, args.out)
     return EXIT_OK
 
 

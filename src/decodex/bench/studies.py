@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..backends import (
-    LatencyModel,
     inline_decode_parallel,
     inline_decode_sequential,
     inline_default,
@@ -22,14 +21,15 @@ from ..backends import (
 )
 from ..ldpc import ConfigurationError, decode_layered_minsum, encode
 from ..nr import (
+    code_block_bits,
     make_transport_block,
     random_transport_block,
+    rate_dematch,
+    rate_match,
     segment,
     select_base_graph,
     split_coded_bits,
 )
-from ..nr.pipeline import code_block_bits
-from ..nr.ratematch import rate_dematch, rate_match
 from ..phy import bits_to_llrs, generate_cell_vectors, prepare_tb_vectors
 
 DEFAULT_STUDY_MCS = 9
@@ -47,17 +47,17 @@ class BulkStudyRow:
 
 def run_bulk_study(
     n_ops_list: list[int],
-    model: LatencyModel | None = None,
     seed: int = DEFAULT_BULK_SEED,
 ) -> list[BulkStudyRow]:
-    """Throughput of sequential vs bulk enqueue/dequeue over op-count sweeps.
+    """Throughput of sequential vs bulk enqueue/dequeue over op-count sweeps,
+    on the default lookaside model.
 
     Ops are single-CB transport blocks small enough that their real decode
     stays cheap; timing depends only on the model.
     """
     if not n_ops_list or min(n_ops_list) < 1:
         raise ConfigurationError(f"n_ops must be a non-empty list of counts >= 1: {n_ops_list}")
-    model = model or lookaside_default()
+    model = lookaside_default()
     rows = []
     n_max = max(n_ops_list)
     vectors = generate_cell_vectors(
@@ -96,16 +96,16 @@ def run_parallel_study(
     n_ue_list: list[int],
     prb_total: int,
     mcs: int = DEFAULT_STUDY_MCS,
-    model: LatencyModel | None = None,
     seed: int = 2024,
 ) -> list[ParallelStudyRow]:
-    """Sequential vs parallel launches at constant total data volume.
+    """Sequential vs parallel launches at constant total data volume, on the
+    default inline model.
 
     Each UE gets floor(prb_total / n_ue) PRBs (remainder to the last UE) and
     one TB; both launch modes decode the same descriptors.  Kernel columns
     exclude transfers, total columns include them.
     """
-    model = model or inline_default()
+    model = inline_default()
     rows = []
     for n_ue in n_ue_list:
         if n_ue < 1 or n_ue > prb_total:

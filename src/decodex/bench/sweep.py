@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,10 +71,7 @@ class SweepRecord:
     failure: str | None = None  # not emitted; drives the harness exit code
 
 
-EMIT_FIELDS = (
-    "backend", "mcs", "snr_db", "prb", "n_tb", "bler", "mean_iterations",
-    "p50_us", "p99_us", "mean_us", "utilization", "clock_type",
-)
+EMIT_FIELDS = tuple(f.name for f in fields(SweepRecord) if f.name != "failure")
 
 
 def cell_seed(master_seed: int, cell_index: int) -> int:

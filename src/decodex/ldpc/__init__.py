@@ -14,7 +14,8 @@ from .basegraph import (
 )
 from .decode import LLR_MAX, DecodeResult, decode_layered_minsum, syndrome_check
 from .encode import encode
-from .params import CodeBlockParams, make_params
+from .kernel import minsum_kernel
+from .params import CodeBlockParams
 
 __all__ = [
     "ALL_LIFTING_SIZES",
@@ -31,7 +32,7 @@ __all__ = [
     "expand_base_graph",
     "get_base_graph",
     "load_base_graph_file",
-    "make_params",
+    "minsum_kernel",
     "set_index_for_zc",
     "syndrome_check",
 ]

@@ -45,7 +45,8 @@ LIFTING_SETS = (
     (15, 30, 60, 120, 240),
 )
 
-ALL_LIFTING_SIZES = tuple(sorted(z for s in LIFTING_SETS for z in s))
+_SET_INDEX = {z: i for i, sizes in enumerate(LIFTING_SETS) for z in sizes}
+ALL_LIFTING_SIZES = tuple(sorted(_SET_INDEX))
 
 # Largest base-row degree the compiled decoder's per-lane scratch holds
 # (BG1 peaks at 19); expansion rejects a graph with a denser row.
@@ -61,10 +62,10 @@ def set_index_for_zc(zc: int) -> int:
 
     Raises ConfigurationError for a value that is not a standard lifting size.
     """
-    for i, sizes in enumerate(LIFTING_SETS):
-        if zc in sizes:
-            return i
-    raise ConfigurationError(f"{zc} is not a valid lifting size")
+    try:
+        return _SET_INDEX[zc]
+    except KeyError:
+        raise ConfigurationError(f"{zc} is not a valid lifting size") from None
 
 
 @dataclass(frozen=True)
@@ -160,23 +161,23 @@ def get_base_graph(bg_id: int) -> BaseGraph:
 class ParityCheckMatrix:
     """Lifted parity-check matrix kept in layered (per-base-row) form.
 
-    Each layer holds the block-columns and zc-reduced shifts of one base row.
-    ``gather`` maps a layer's circulants into flat codeword indices so that
-    row ``e`` of ``flat[gather[layer][e]]`` equals the e-th circulant applied
-    to its block-column.  ``edges`` and ``degrees`` are the compiled decoder's
-    int32 form of the same graph: one ``(col * zc, shift)`` row per circulant,
-    layer after layer, and the number of circulants in each layer.
+    ``gather`` is the numpy decoder's and the encoder's table: one array per
+    base row (layer), mapping its circulants into flat codeword indices so
+    that row ``e`` of ``flat[gather[layer][e]]`` equals the e-th circulant
+    applied to its block-column.  ``edges`` and ``degrees`` are the compiled
+    decoder's int32 form of the same graph: one ``(col * zc, shift)`` row per
+    circulant, layer after layer, and the number of circulants in each layer.
     """
 
     bg_id: int
     zc: int
-    set_index: int
-    base_rows: int
-    base_cols: int
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     gather: tuple[np.ndarray, ...] = field(repr=False)
     edges: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
+
+    @property
+    def base_rows(self) -> int:
+        return len(self.degrees)
 
     @property
     def n_rows(self) -> int:
@@ -184,17 +185,14 @@ class ParityCheckMatrix:
 
     @property
     def n_cols(self) -> int:
-        return self.base_cols * self.zc
+        return BG_DIMS[self.bg_id][1] * self.zc
 
     def to_dense(self) -> np.ndarray:
         """Materialize H as a dense 0/1 uint8 matrix (tests and small codes)."""
         h = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        z = self.zc
-        eye = np.eye(z, dtype=np.uint8)
-        for r, (cols, shifts) in enumerate(self.layers):
-            for c, s in zip(cols, shifts):
-                block = np.roll(eye, int(s), axis=1)
-                h[r * z:(r + 1) * z, c * z:(c + 1) * z] ^= block
+        lane = np.arange(self.zc)
+        for r, idx in enumerate(self.gather):
+            h[r * self.zc + lane, idx] ^= 1  # a layer's circulants share no column
         return h
 
 
@@ -210,8 +208,8 @@ def expand_base_graph(bg_id: int, zc: int, set_index: int) -> ParityCheckMatrix:
     bg = get_base_graph(bg_id)
 
     lane = np.arange(zc)
-    layers = []
     gather = []
+    edges = []
     for r in range(bg.rows):
         row_entries = sorted(
             (c, s[set_index] % zc) for (rr, c), s in bg.entries.items() if rr == r
@@ -223,18 +221,12 @@ def expand_base_graph(bg_id: int, zc: int, set_index: int) -> ParityCheckMatrix:
             )
         cols = np.array([c for c, _ in row_entries], dtype=np.int64)
         shf = np.array([s for _, s in row_entries], dtype=np.int64)
-        idx = cols[:, None] * zc + (shf[:, None] + lane[None, :]) % zc
-        layers.append((cols, shf))
-        gather.append(idx)
-    edges = np.concatenate([np.stack([c * zc, s], axis=1) for c, s in layers])
+        gather.append(cols[:, None] * zc + (shf[:, None] + lane[None, :]) % zc)
+        edges += [(c * zc, s) for c, s in row_entries]
     return ParityCheckMatrix(
         bg_id=bg_id,
         zc=zc,
-        set_index=set_index,
-        base_rows=bg.rows,
-        base_cols=bg.cols,
-        layers=tuple(layers),
         gather=tuple(gather),
-        edges=edges.astype(np.int32),
-        degrees=np.array([c.size for c, _ in layers], dtype=np.int32),
+        edges=np.array(edges, dtype=np.int32),
+        degrees=np.array([idx.shape[0] for idx in gather], dtype=np.int32),
     )

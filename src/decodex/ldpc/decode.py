@@ -20,6 +20,7 @@ from .kernel import minsum_kernel
 from .params import CodeBlockParams
 
 LLR_MAX = 127
+NORM_FACTOR = 0.75  # min-sum check-to-variable scaling
 MAX_ITERATIONS = 2**31 - 1  # the kernel counts sweeps in a C int
 
 
@@ -48,10 +49,9 @@ def decode_layered_minsum(
     llr: np.ndarray,
     params: CodeBlockParams,
     max_iterations: int = 20,
-    norm_factor: float = 0.75,
     early_termination: bool = True,
 ) -> DecodeResult:
-    """Run layered normalized min-sum over the base-graph rows.
+    """Run layered min-sum, normalized by NORM_FACTOR, over the base-graph rows.
 
     A full sweep over all layers counts as one iteration; after each sweep
     the full hard decision is syndrome-checked and decoding stops early on
@@ -72,12 +72,10 @@ def decode_layered_minsum(
         raise ValueError("LLRs must lie in the int8 range [-128, 127]")
     if not 1 <= max_iterations <= MAX_ITERATIONS:
         raise ValueError(f"max_iterations must be in [1, {MAX_ITERATIONS}]")
-    if not 0.0 < norm_factor <= 1.0:
-        raise ValueError("norm_factor must be in (0, 1]")
 
     pcm = expand_base_graph(params.bg, params.zc, params.set_index)
     app = llr.astype(np.int32)
-    norm_q12 = int(norm_factor * 4096)  # 12-bit fixed-point scaling
+    norm_q12 = int(NORM_FACTOR * 4096)  # 12-bit fixed-point scaling
     sweeps = _reference_sweeps if minsum_kernel() is None else _compiled_sweeps
     iterations, converged = sweeps(app, pcm, max_iterations, norm_q12, early_termination)
     bits = (app[: params.k] < 0).astype(np.uint8)

@@ -34,10 +34,11 @@ def _encoder_plan(bg_id: int, zc: int, set_index: int):
     """
     pcm = expand_base_graph(bg_id, zc, set_index)
     core = range(BG_DIMS[bg_id][2], BG_DIMS[bg_id][2] + N_CORE_PARITY)
-    cols = [c.tolist() for c, _ in pcm.layers]
+    # Lane 0 of a circulant's gather row is col * zc + shift.
+    cols = [(idx[:, 0] // zc).tolist() for idx in pcm.gather]
 
     first = {
-        (r, e): int(pcm.layers[r][1][e])
+        (r, e): int(pcm.gather[r][e, 0] % zc)
         for r in range(N_CORE_ROWS) for e, c in enumerate(cols[r]) if c == core.start
     }
     odd = [s for s, n in Counter(first.values()).items() if n % 2 == 1]

@@ -4,61 +4,50 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basegraph import BG_DIMS, LIFTING_SETS, ConfigurationError
+from .basegraph import BG_DIMS, ConfigurationError, set_index_for_zc
 
 
 @dataclass(frozen=True)
 class CodeBlockParams:
     """Coding configuration of one code block.
 
-    k counts payload + CB-CRC + filler bits (kb * zc); n_full is the full
-    lifted codeword length; n_cb the circular-buffer length after puncturing
-    the first 2*zc systematic positions; e the rate-matched output length
-    (0 until a transport-block allocation assigns one).
+    kb systematic base columns of lifting size zc carry payload + CB-CRC +
+    n_filler filler bits; e is the rate-matched output length (0 until a
+    transport-block allocation assigns one).  The lengths derive from these.
     """
 
     bg: int
     zc: int
-    set_index: int
     kb: int
-    k: int
-    n_full: int
-    n_cb: int
-    n_filler: int
+    n_filler: int = 0
     e: int = 0
 
     def __post_init__(self):
-        rows, cols, kb_max = BG_DIMS[self.bg]
-        if self.zc not in LIFTING_SETS[self.set_index]:
-            raise ConfigurationError(
-                f"zc={self.zc} invalid for lifting set {self.set_index}"
-            )
-        if not 0 < self.kb <= kb_max:
+        set_index_for_zc(self.zc)  # rejects a zc outside the lifting sets
+        if not 0 < self.kb <= BG_DIMS[self.bg][2]:
             raise ConfigurationError(f"kb={self.kb} out of range for BG{self.bg}")
-        if self.k != self.kb * self.zc:
-            raise ConfigurationError("k must equal kb * zc")
-        if self.n_full != cols * self.zc:
-            raise ConfigurationError("n_full must equal base cols * zc")
-        if self.n_cb != self.n_full - 2 * self.zc:
-            raise ConfigurationError("n_cb must equal n_full - 2 * zc")
         if not 0 <= self.n_filler < self.k:
             raise ConfigurationError(f"n_filler={self.n_filler} out of range")
         if self.e < 0:
             raise ConfigurationError("e must be non-negative")
 
+    @property
+    def set_index(self) -> int:
+        """Lifting-set index of zc, which selects the base graph's shifts."""
+        return set_index_for_zc(self.zc)
 
-def make_params(bg: int, zc: int, set_index: int, kb: int, n_filler: int = 0,
-                e: int = 0) -> CodeBlockParams:
-    """Convenience constructor deriving the dependent lengths."""
-    _, cols, _ = BG_DIMS[bg]
-    return CodeBlockParams(
-        bg=bg,
-        zc=zc,
-        set_index=set_index,
-        kb=kb,
-        k=kb * zc,
-        n_full=cols * zc,
-        n_cb=(cols - 2) * zc,
-        n_filler=n_filler,
-        e=e,
-    )
+    @property
+    def k(self) -> int:
+        """Payload + CB-CRC + filler bits: kb * zc."""
+        return self.kb * self.zc
+
+    @property
+    def n_full(self) -> int:
+        """Full lifted codeword length: base columns * zc."""
+        return BG_DIMS[self.bg][1] * self.zc
+
+    @property
+    def n_cb(self) -> int:
+        """Circular-buffer length after puncturing the first 2*zc systematic
+        positions."""
+        return self.n_full - 2 * self.zc

@@ -1,8 +1,10 @@
-"""Transport-block chain: CRCs, segmentation, rate matching, MCS lookup."""
+"""Transport-block chain: CRCs, segmentation, rate matching, MCS lookup, and
+the per-code-block decode descriptors every backend consumes."""
 
 from .crc import attach_crc, check_crc, crc24
 from .mcs import McsEntry, compute_tb_size, mcs_lookup, mcs_table, num_coded_bits
 from .pipeline import (
+    DecodeDescriptor,
     ReassembledBlock,
     TransportBlock,
     build_tb_descriptors,
@@ -17,6 +19,7 @@ from .ratematch import buffer_indices, rate_dematch, rate_match
 from .segment import SegmentationPlan, segment, select_base_graph
 
 __all__ = [
+    "DecodeDescriptor",
     "McsEntry",
     "ReassembledBlock",
     "SegmentationPlan",

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..backends.descriptor import DecodeDescriptor
+from ..ldpc import CodeBlockParams
 from .crc import CB_CRC_VARIANT, TB_CRC_VARIANT, attach_crc, check_crc
 from .mcs import compute_tb_size, mcs_lookup, num_coded_bits
 from .segment import SegmentationPlan, TB_CRC_LEN, segment, select_base_graph
@@ -54,19 +54,47 @@ def split_coded_bits(total_e: int, c: int) -> list[int]:
     return [base] * (c - 1) + [total_e - base * (c - 1)]
 
 
+@dataclass(frozen=True)
+class DecodeDescriptor:
+    """One decode operation: soft input, coding parameters, placement.
+
+    llr is the post-dematch soft block (n_full int8 values); it stays None
+    until the vector-generation pipeline attaches one with
+    ``dataclasses.replace``, which checks its length.
+    """
+
+    cb_params: CodeBlockParams
+    max_iterations: int
+    tb_id: int
+    cb_id: int
+    llr: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.llr is not None and self.llr.shape != (self.cb_params.n_full,):
+            raise ValueError("llr length must equal n_full")
+
+    @property
+    def input_bytes(self) -> int:
+        """Modeled host-to-device payload: one byte per rate-matched LLR."""
+        return self.cb_params.e
+
+    @property
+    def output_bytes(self) -> int:
+        """Modeled device-to-host payload: packed decoded info bits."""
+        return (self.cb_params.k + 7) // 8
+
+
 def build_tb_descriptors(
     tb: TransportBlock, max_iterations: int = 20, tb_id: int = 0
 ) -> list[DecodeDescriptor]:
-    """One decode descriptor per code block, with E and output offsets set."""
+    """One decode descriptor per code block, with its E set."""
     plan = plan_transport_block(tb)
     entry = mcs_lookup(tb.mcs)
     e_split = split_coded_bits(num_coded_bits(tb.prb, entry), plan.c)
-    chunk = plan.bits_per_chunk
     return [
         DecodeDescriptor(
             cb_params=replace(plan.params[i], e=e_split[i]),
             max_iterations=max_iterations,
-            output_slot=i * chunk,
             tb_id=tb_id,
             cb_id=i,
         )

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ldpc import ConfigurationError
-from ..ldpc.decode import LLR_MAX
-from ..ldpc.params import CodeBlockParams
+from ..ldpc import LLR_MAX, CodeBlockParams, ConfigurationError
 
 
 def buffer_indices(params: CodeBlockParams) -> np.ndarray:

@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..ldpc import ConfigurationError
-from ..ldpc.basegraph import ALL_LIFTING_SIZES, set_index_for_zc
-from ..ldpc.params import CodeBlockParams, make_params
+from ..ldpc import ALL_LIFTING_SIZES, CodeBlockParams, ConfigurationError
 
 TB_CRC_LEN = 24
 CB_CRC_LEN = 24
@@ -74,7 +72,5 @@ def segment(payload_bits: int, bg: int) -> SegmentationPlan:
     zc = next((z for z in ALL_LIFTING_SIZES if kb * z >= k_prime), None)
     if zc is None:
         raise ConfigurationError(f"no lifting size fits k'={k_prime} with kb={kb}")
-    set_index = set_index_for_zc(zc)
-    n_filler = kb * zc - k_prime
-    params = make_params(bg, zc, set_index, kb, n_filler=n_filler)
+    params = CodeBlockParams(bg, zc, kb, n_filler=kb * zc - k_prime)
     return SegmentationPlan(bg=bg, c=c, k_prime=k_prime, params=(params,) * c)

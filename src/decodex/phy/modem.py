@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..ldpc.decode import LLR_MAX
+from ..ldpc import LLR_MAX
 
 SUPPORTED_QM = (2, 4, 6, 8)
 LLR_QUANT_GAIN = 3.2

@@ -14,13 +14,13 @@ E demapped channel LLRs of that CB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..backends.descriptor import DecodeDescriptor
 from ..ldpc import encode
 from ..nr import (
+    DecodeDescriptor,
     TransportBlock,
     build_tb_descriptors,
     code_block_bits,
@@ -53,19 +53,20 @@ def prepare_tb_vectors(
     """Encode, modulate, add noise, demap, and de-match one transport block."""
     entry = mcs_lookup(tb.mcs)
     plan = plan_transport_block(tb)
-    descriptors = build_tb_descriptors(tb, max_iterations=max_iterations, tb_id=tb_id)
+    blank = build_tb_descriptors(tb, max_iterations=max_iterations, tb_id=tb_id)
     blocks = code_block_bits(tb, plan)
     channel = ChannelConfig(snr_db=snr_db, seed=seed)
     sigma2 = channel.sigma2 if channel.sigma2 > 0 else 10.0 ** (-30 / 10.0)
 
+    descriptors = []
     llrs_per_cb = []
-    for desc, block in zip(descriptors, blocks):
+    for desc, block in zip(blank, blocks):
         cw = encode(block, desc.cb_params)
         tx_bits = rate_match(cw, desc.cb_params)
         symbols = modulate(tx_bits, entry.qm)
         received = transmit(symbols, channel)
         llrs = demap_llr(received, entry.qm, sigma2)[: desc.cb_params.e]
-        desc.llr = rate_dematch(llrs, desc.cb_params)
+        descriptors.append(replace(desc, llr=rate_dematch(llrs, desc.cb_params)))
         llrs_per_cb.append(llrs)
     return TbVectors(tb=tb, descriptors=descriptors, channel_llrs=llrs_per_cb)
 

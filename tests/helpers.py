@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from decodex.ldpc import encode, expand_base_graph, make_params
+from decodex.ldpc import CodeBlockParams, encode, expand_base_graph
 
 
 def crc_bit_serial(bits, poly: int) -> int:
@@ -20,7 +20,7 @@ def crc_bit_serial(bits, poly: int) -> int:
 
 def toy_code_table(zc: int):
     """All codewords of the bundled toy code as (+1/-1) rows, plus params."""
-    params = make_params(0, zc, 0, 4)
+    params = CodeBlockParams(0, zc, 4)
     k, n = params.k, params.n_full
     gen = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):

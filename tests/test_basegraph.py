@@ -67,8 +67,7 @@ def test_zero_shift_is_identity_block():
 
 def test_shift_reduced_modulo_zc():
     pcm = expand_base_graph(1, 2, 0)
-    for _, shifts in pcm.layers:
-        assert (shifts < 2).all()
+    assert (pcm.edges[:, 1] < 2).all()
 
 
 def test_invalid_zc_set_pairing_rejected():
@@ -123,17 +122,13 @@ def test_loader_rejects_checksum_mismatch():
 
 
 def test_params_validation():
-    from decodex.ldpc import make_params
     from decodex.ldpc.params import CodeBlockParams
 
     with pytest.raises(ConfigurationError):
-        make_params(2, 17, 0, 10)  # not a lifting size
+        CodeBlockParams(2, 17, 10)  # not a lifting size
     with pytest.raises(ConfigurationError):
-        make_params(2, 36, 4, 11)  # kb beyond BG2 systematic columns
-    with pytest.raises(ConfigurationError):
-        CodeBlockParams(bg=2, zc=36, set_index=4, kb=10, k=100, n_full=52 * 36,
-                        n_cb=50 * 36, n_filler=0)  # k != kb*zc
-    p = make_params(2, 36, 4, 10, n_filler=5, e=120)
+        CodeBlockParams(2, 36, 11)  # kb beyond BG2 systematic columns
+    p = CodeBlockParams(2, 36, 10, n_filler=5, e=120)
     assert p.k == 360 and p.n_cb == p.n_full - 72
 
 

@@ -8,11 +8,11 @@ import pytest
 from decodex.ldpc import (
     BG_DIMS,
     LIFTING_SETS,
+    CodeBlockParams,
     ConfigurationError,
     basegraph,
     encode,
     expand_base_graph,
-    make_params,
     syndrome_check,
 )
 from decodex.ldpc.encode import _encoder_plan
@@ -38,7 +38,7 @@ CONFIGS = [
 
 @pytest.mark.parametrize("bg,zc,set_index,kb", CONFIGS)
 def test_random_info_satisfies_parity(bg, zc, set_index, kb):
-    params = make_params(bg, zc, set_index, kb)
+    params = CodeBlockParams(bg, zc, kb)
     rng = np.random.default_rng(bg * 1000 + zc)
     info = rng.integers(0, 2, params.k, dtype=np.uint8)
     cw = encode(info, params)
@@ -49,7 +49,7 @@ def test_random_info_satisfies_parity(bg, zc, set_index, kb):
 
 @pytest.mark.parametrize("bg,zc,set_index,kb", [(1, 2, 0, 22), (2, 9, 4, 10), (0, 4, 0, 4)])
 def test_dense_matrix_oracle_agrees(bg, zc, set_index, kb):
-    params = make_params(bg, zc, set_index, kb)
+    params = CodeBlockParams(bg, zc, kb)
     rng = np.random.default_rng(7)
     for _ in range(5):
         cw = encode(rng.integers(0, 2, params.k, dtype=np.uint8), params)
@@ -57,13 +57,13 @@ def test_dense_matrix_oracle_agrees(bg, zc, set_index, kb):
 
 
 def test_all_zero_info_gives_all_zero_codeword():
-    params = make_params(2, 36, 4, 10)
+    params = CodeBlockParams(2, 36, 10)
     cw = encode(np.zeros(params.k, dtype=np.uint8), params)
     assert not cw.any()
 
 
 def test_length_mismatch_rejected():
-    params = make_params(2, 36, 4, 10)
+    params = CodeBlockParams(2, 36, 10)
     with pytest.raises(ValueError, match="info bits"):
         encode(np.zeros(params.k - 1, dtype=np.uint8), params)
 
@@ -77,7 +77,7 @@ def test_syndrome_check_length_mismatch_rejected():
 def test_single_flip_breaks_syndrome_every_column():
     """Every column participates in at least one check on both graphs."""
     for bg, zc, set_index, kb in [(1, 2, 0, 22), (2, 2, 0, 10)]:
-        params = make_params(bg, zc, set_index, kb)
+        params = CodeBlockParams(bg, zc, kb)
         pcm = expand_base_graph(bg, zc, set_index)
         cw = encode(np.zeros(params.k, dtype=np.uint8), params)
         for pos in range(params.n_full):
@@ -87,7 +87,7 @@ def test_single_flip_breaks_syndrome_every_column():
 
 
 def test_encode_is_linear():
-    params = make_params(2, 12, 1, 10)
+    params = CodeBlockParams(2, 12, 10)
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2, params.k, dtype=np.uint8)
     b = rng.integers(0, 2, params.k, dtype=np.uint8)
@@ -111,6 +111,6 @@ def test_unencodable_base_graph_is_rejected(monkeypatch, added, removed, message
     _encoder_plan.cache_clear()
     try:
         with pytest.raises(ConfigurationError, match=message):
-            encode(np.zeros(160, dtype=np.uint8), make_params(2, 16, 0, 10))
+            encode(np.zeros(160, dtype=np.uint8), CodeBlockParams(2, 16, 10))
     finally:
         expand_base_graph.cache_clear()

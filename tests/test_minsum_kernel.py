@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from decodex.ldpc import (
     ALL_LIFTING_SIZES,
     BG_DIMS,
+    CodeBlockParams,
     ConfigurationError,
     decode_layered_minsum,
     encode,
     expand_base_graph,
-    make_params,
-    set_index_for_zc,
 )
 from decodex.ldpc import basegraph, kernel
 from decodex.ldpc.decode import _compiled_sweeps, _reference_sweeps
@@ -32,7 +31,7 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 
 def _params(bg, zc):
-    return make_params(bg, zc, set_index_for_zc(zc), BG_DIMS[bg][2])
+    return CodeBlockParams(bg, zc, BG_DIMS[bg][2])
 
 
 def _llrs(params, seed, magnitude, noise):

@@ -1,5 +1,7 @@
 """Transport-block descriptor fan-out and full-chain identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,16 +27,22 @@ def _tb_of_size(b, mcs=9, prb=100):
 def test_single_block_tb_yields_one_descriptor():
     descs = build_tb_descriptors(_tb_of_size(8424))
     assert len(descs) == 1
-    assert descs[0].output_slot == 0
 
 
 def test_split_tb_descriptors_are_contiguous():
     descs = build_tb_descriptors(_tb_of_size(8432))
     assert len(descs) == 2
-    plan = plan_transport_block(_tb_of_size(8432))
-    assert [d.output_slot for d in descs] == [0, plan.bits_per_chunk]
-    slots = {d.output_slot for d in descs}
-    assert len(slots) == len(descs)
+
+
+def test_descriptor_is_frozen_and_checks_its_llr_length():
+    desc = build_tb_descriptors(_tb_of_size(8424))[0]
+    n_full = desc.cb_params.n_full
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        desc.llr = np.zeros(3, dtype=np.int8)
+    with pytest.raises(ValueError, match="n_full"):
+        dataclasses.replace(desc, llr=np.zeros(3, dtype=np.int8))
+    filled = dataclasses.replace(desc, llr=np.zeros(n_full, dtype=np.int8))
+    assert filled.llr.shape == (n_full,) and desc.llr is None
 
 
 def test_descriptor_capacity_covers_payload():

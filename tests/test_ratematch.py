@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodex.ldpc import ConfigurationError, encode, make_params
+from decodex.ldpc import CodeBlockParams, ConfigurationError, encode
 from decodex.nr import rate_dematch, rate_match
 from decodex.nr.ratematch import buffer_indices
 
 
 def _params(e=0, n_filler=2):
-    return make_params(2, 15, 7, 6, n_filler=n_filler, e=e)
+    return CodeBlockParams(2, 15, 6, n_filler=n_filler, e=e)
 
 
 def _codeword(params, seed=0):
@@ -106,7 +106,7 @@ def test_partial_transmission_leaves_untransmitted_zero():
 @given(st.integers(1, 4000), st.integers(0, 50))
 def test_match_dematch_adjoint_index_walk(e, filler_seed):
     """Every transmitted soft value lands exactly where rate_match read it."""
-    p = make_params(2, 15, 7, 6, n_filler=filler_seed % 30, e=e)
+    p = CodeBlockParams(2, 15, 6, n_filler=filler_seed % 30, e=e)
     idx = buffer_indices(p)
     distinct = np.arange(1, e + 1, dtype=np.int32)
     soft = rate_dematch(np.clip(distinct, 0, 90).astype(np.int8), p)

@@ -68,7 +68,7 @@ def test_lookaside_runs_are_finite_conserved_and_monotone(model, n, depth):
 def _report_fields(report):
     values = {f.name: getattr(report, f.name) for f in fields(report)}
     values["outcomes"] = [
-        (o.tb_id, o.cb_id, o.output_slot, o.bits.tobytes(), o.iterations_used, o.converged)
+        (o.tb_id, o.cb_id, o.bits.tobytes(), o.iterations_used, o.converged)
         for o in report.outcomes
     ]
     return values
