@@ -32,7 +32,6 @@ from .model import (
     LatencyModel,
     inline_default,
     lookaside_default,
-    model_from_mapping,
     unified_default,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "lookaside_default",
     "lookaside_dequeue",
     "lookaside_enqueue",
-    "model_from_mapping",
     "run_lookaside_bulk",
     "run_lookaside_sequential",
     "unified_default",

@@ -64,13 +64,3 @@ DEFAULT_MODELS = {
     "inline-unified": unified_default,
 }
 
-
-def model_from_mapping(base: LatencyModel, overrides: dict) -> LatencyModel:
-    """Apply config-file key/value overrides onto a model."""
-    known = {f.name: f.type for f in fields(LatencyModel)}
-    kwargs = {}
-    for key, value in overrides.items():
-        if key not in known:
-            raise ValueError(f"unknown LatencyModel key {key!r}")
-        kwargs[key] = int(value) if key in ("capacity", "min_stream_slots") else float(value)
-    return replace(base, **kwargs)

@@ -12,12 +12,14 @@ import configparser
 import dataclasses
 import os
 import sys
+import typing
 
-from ..backends import DEFAULT_MODELS, model_from_mapping
+from ..backends import DEFAULT_MODELS, LatencyModel
 from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
 from .emit import emit, render_csv
 from .studies import (
+    DEFAULT_STUDY_MCS,
     BulkStudyRow,
     IterationStudyRow,
     ParallelStudyRow,
@@ -25,53 +27,76 @@ from .studies import (
     run_iteration_study,
     run_parallel_study,
 )
-from .sweep import SweepConfig, run_sweep
+from .sweep import DEFAULT_SEED, SweepConfig, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_CELL_FAILURE = 2
 
 
+# [sweep] keys named differently from their SweepConfig field
+_SWEEP_ALIASES = {"mcs": "mcs_set", "snr_db": "snr_grid_db", "prb": "prb_set"}
+
+
 def _parse_list(text: str, cast):
     return tuple(cast(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
+def _env_seed(seed: int) -> int:
+    """DECODEX_SEED, when set, overrides the configured seed."""
+    return int(os.environ.get("DECODEX_SEED", seed))
+
+
+def _section_kwargs(cls, section, names={}) -> dict:
+    """Constructor arguments for dataclass ``cls`` from an INI section.
+
+    Each key, renamed through ``names``, must be a field of ``cls`` typed
+    int, float, str or a tuple of one of them, which takes a comma-separated
+    list; its value is parsed by that type.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, text in section.items():
+        name = names.get(key, key)
+        hint = hints.get(name)
+        cast = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+        if cast not in (int, float, str):
+            raise ConfigurationError(f"unknown key {key!r} in [{section.name}]")
+        try:
+            kwargs[name] = cast(text) if cast is hint else _parse_list(text, cast)
+        except ValueError as exc:
+            raise ConfigurationError(f"[{section.name}] {key}: {exc}") from None
+    return kwargs
+
+
 def load_sweep_config(path: str | None) -> SweepConfig:
-    """Build a SweepConfig from a flat key-value config file.
+    """Build a SweepConfig from an INI config file.
 
     Sections: [sweep] for the grid, [model.<backend>] for LatencyModel
     overrides (durations in microseconds, transfer_per_byte in us/byte).
+    Values are literal: no interpolation, and no [DEFAULT] section.
     """
     kwargs = {}
     models = {}
     if path:
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            found = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigurationError(str(exc)) from None
+        if not found:
             raise ConfigurationError(f"cannot read config file {path}")
-        if parser.has_section("sweep"):
-            s = parser["sweep"]
-            if "backends" in s:
-                kwargs["backends"] = _parse_list(s["backends"], str)
-            if "mcs" in s:
-                kwargs["mcs_set"] = _parse_list(s["mcs"], int)
-            if "snr_db" in s:
-                kwargs["snr_grid_db"] = _parse_list(s["snr_db"], float)
-            if "prb" in s:
-                kwargs["prb_set"] = _parse_list(s["prb"], int)
-            for key in ("n_tb", "seed", "max_iterations", "workers"):
-                if key in s:
-                    kwargs[key] = int(s[key])
-        for section in parser.sections():
-            if section.startswith("model."):
-                backend = section.split(".", 1)[1]
-                base = DEFAULT_MODELS.get(backend)
-                if base is None:
-                    raise ConfigurationError(f"unknown model section [{section}]")
-                models[backend] = model_from_mapping(base(), dict(parser[section]))
-    if "DECODEX_SEED" in os.environ:
-        kwargs["seed"] = int(os.environ["DECODEX_SEED"])
-    kwargs["models"] = models
-    return SweepConfig(**kwargs)
+        for name in parser.sections():
+            kind = name.removeprefix("model.")
+            if name == "sweep":
+                kwargs = _section_kwargs(SweepConfig, parser[name], _SWEEP_ALIASES)
+            elif name != kind and kind in DEFAULT_MODELS:
+                overrides = _section_kwargs(LatencyModel, parser[name])
+                models[kind] = dataclasses.replace(DEFAULT_MODELS[kind](), **overrides)
+            else:
+                raise ConfigurationError(f"unknown section [{name}]")
+    kwargs["seed"] = _env_seed(kwargs.get("seed", DEFAULT_SEED))
+    return SweepConfig(**kwargs, models=models)
 
 
 def _cmd_sweep(args) -> int:
@@ -122,7 +147,7 @@ def _cmd_iter_study(args) -> int:
 
 
 def _cmd_vectors(args) -> int:
-    seed = int(os.environ.get("DECODEX_SEED", args.seed))
+    seed = _env_seed(args.seed)
     vectors = generate_cell_vectors(args.mcs, args.prb, args.snr, args.n_tb, seed)
     text = dump_golden_vectors(vectors, args.snr, seed)
     with open(args.dump, "w") as f:
@@ -149,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parallel-study", help="sequential vs parallel launches")
     p.add_argument("--ue", default="1,2,5,10")
     p.add_argument("--prb", type=int, default=200)
-    p.add_argument("--mcs", type=int, default=9)
+    p.add_argument("--mcs", type=int, default=DEFAULT_STUDY_MCS)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_parallel_study)
 
@@ -166,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prb", type=int, default=20)
     p.add_argument("--snr", type=float, default=8.0)
     p.add_argument("--n-tb", type=int, default=4)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_vectors)
     return parser
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import typing
 
 from .sweep import EMIT_FIELDS, SweepRecord
 
@@ -57,20 +58,18 @@ def emit(records: list[SweepRecord], format: str, path) -> None:
 
 
 def parse_csv(text: str) -> list[dict]:
-    """Inverse of render_csv, for round-trip checks and downstream tooling."""
+    """Inverse of render_csv, for round-trip checks and downstream tooling:
+    each column is parsed by the type of its SweepRecord field, and an empty
+    cell of an optional field is None."""
     lines = text.strip().split("\n")
     if lines[0] != CSV_HEADER:
         raise ValueError("unexpected CSV header")
+    hints = typing.get_type_hints(SweepRecord)
     out = []
     for ln in lines[1:]:
-        vals = ln.split(",")
         row = {}
-        for key, val in zip(EMIT_FIELDS, vals):
-            if key in ("backend", "clock_type"):
-                row[key] = val
-            elif key in ("mcs", "prb", "n_tb"):
-                row[key] = int(val)
-            else:
-                row[key] = None if val == "" else float(val)
+        for key, val in zip(EMIT_FIELDS, ln.split(",")):
+            cast, *optional = typing.get_args(hints[key]) or (hints[key],)
+            row[key] = None if optional and val == "" else cast(val)
         out.append(row)
     return out

@@ -28,7 +28,6 @@ from ..nr import (
     rate_match,
     segment,
     select_base_graph,
-    split_coded_bits,
 )
 from ..phy import bits_to_llrs, generate_cell_vectors, prepare_tb_vectors
 
@@ -180,7 +179,7 @@ def run_iteration_study(
             payload = rng.integers(0, 2, b, dtype=np.uint8)
             tb = make_transport_block(payload, 0, 1)  # mcs/prb unused below
             blocks = code_block_bits(tb, plan)
-            params = replace(plan.params[0], e=split_coded_bits(e_total, plan.c)[0])
+            params = replace(plan.params[0], e=e_total)
             cw = encode(blocks[0], params)
             llr = rate_dematch(bits_to_llrs(rate_match(cw, params)), params)
             cases += [(k, rate, iters, llr, params) for iters in iter_list]

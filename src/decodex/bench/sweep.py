@@ -61,14 +61,17 @@ class SweepRecord:
     snr_db: float
     prb: int
     n_tb: int
-    bler: float
-    mean_iterations: float
-    p50_us: float
-    p99_us: float
-    mean_us: float
-    utilization: float | None
-    clock_type: str
+    bler: float = math.nan
+    mean_iterations: float = math.nan
+    p50_us: float = math.nan
+    p99_us: float = math.nan
+    mean_us: float = math.nan
+    utilization: float | None = None
+    clock_type: str = field(init=False)
     failure: str | None = None  # not emitted; drives the harness exit code
+
+    def __post_init__(self):
+        object.__setattr__(self, "clock_type", "wall" if self.backend == "cpu" else "virtual")
 
 
 EMIT_FIELDS = tuple(f.name for f in fields(SweepRecord) if f.name != "failure")
@@ -132,7 +135,6 @@ def _cell_records(
                 p99_us=float(np.percentile(lat, 99)) if lat.size else math.nan,
                 mean_us=float(lat.mean()) if lat.size else math.nan,
                 utilization=float(np.mean(utilizations)) if utilizations else None,
-                clock_type="wall" if kind == "cpu" else "virtual",
                 failure=next((r.failure for r in reports if r.failure), None),
             )
         )
@@ -174,24 +176,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         try:
             records = _cell_records(config, mcs, snr_db, prb, cell_seed(config.seed, index))
         except Exception as exc:  # cell-level failure must not abort the sweep
-            records = [
-                SweepRecord(
-                    backend=kind,
-                    mcs=mcs,
-                    snr_db=snr_db,
-                    prb=prb,
-                    n_tb=config.n_tb,
-                    bler=math.nan,
-                    mean_iterations=math.nan,
-                    p50_us=math.nan,
-                    p99_us=math.nan,
-                    mean_us=math.nan,
-                    utilization=None,
-                    clock_type="wall" if kind == "cpu" else "virtual",
-                    failure=f"{type(exc).__name__}: {exc}",
-                )
-                for kind in config.backends
-            ]
+            failure = f"{type(exc).__name__}: {exc}"
+            records = [SweepRecord(kind, mcs, snr_db, prb, config.n_tb, failure=failure)
+                       for kind in config.backends]
         for column, record in zip(columns, records):
             column.append(record)
     return [record for column in columns for record in column]

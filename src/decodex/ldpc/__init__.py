@@ -9,7 +9,6 @@ from .basegraph import (
     ParityCheckMatrix,
     expand_base_graph,
     get_base_graph,
-    load_base_graph_file,
     set_index_for_zc,
 )
 from .decode import LLR_MAX, DecodeResult, decode_layered_minsum, syndrome_check
@@ -31,7 +30,6 @@ __all__ = [
     "encode",
     "expand_base_graph",
     "get_base_graph",
-    "load_base_graph_file",
     "minsum_kernel",
     "set_index_for_zc",
     "syndrome_check",

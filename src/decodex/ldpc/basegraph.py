@@ -134,12 +134,6 @@ def _parse_bg_file(text: str, path_label: str) -> dict[int, BaseGraph]:
     return graphs
 
 
-def load_base_graph_file(path) -> dict[int, BaseGraph]:
-    """Load and validate a shift-table file; returns graphs keyed by bg id."""
-    with open(path) as f:
-        return _parse_bg_file(f.read(), str(path))
-
-
 @lru_cache(maxsize=None)
 def _bundled_graphs() -> dict[int, BaseGraph]:
     graphs = {}

@@ -1,6 +1,7 @@
 """Output formats and the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -114,6 +115,49 @@ def test_cli_bad_model_key(tmp_path):
         "[sweep]\nbackends = lookaside\n[model.lookaside]\nwarp_factor = 9\n",
     )
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+
+
+_TINY_SWEEP = "[sweep]\nbackends = lookaside\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb = 1\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _TINY_SWEEP + "n_tbs = 3\n",
+        _TINY_SWEEP + "[swep]\nn_tb = 3\n",
+        _TINY_SWEEP + "models = x\n",
+        _TINY_SWEEP + "n_tb = 2\n",
+        _TINY_SWEEP + "[sweep]\nseed = 2\n",
+        _TINY_SWEEP + "[DEFAULT]\nn_tb = 3\n",
+        "n_tb = 3\n",
+    ],
+    ids=["unknown-key", "unknown-section", "models-key", "repeated-key",
+         "repeated-section", "default-section", "no-section-header"],
+)
+def test_cli_config_mistakes_are_configuration_errors(tmp_path, capsys, body):
+    cfg = _write_config(tmp_path / "cfg.ini", body)
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_failed_cell_rows_are_pinned(tmp_path):
+    cfg = _write_config(
+        tmp_path / "cfg.ini",
+        "[sweep]\nbackends = cpu, inline\nmcs = 0\nsnr_db = nan\nprb = 5\nn_tb = 1\n",
+    )
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert out.read_text().split("\n")[1:] == [
+        "cpu,0,nan,5,1,nan,nan,nan,nan,nan,,wall",
+        "inline,0,nan,5,1,nan,nan,nan,nan,nan,,virtual",
+        "",
+    ]
+    row = parse_csv(out.read_text())[0]
+    assert row["utilization"] is None
+    assert row["clock_type"] == "wall"
+    assert math.isnan(row["snr_db"]) and math.isnan(row["bler"])
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
