@@ -7,8 +7,7 @@ Takes about a minute on a laptop; shrink n_tb for a quicker look.
 
 import pathlib
 
-from decodex.bench import SweepConfig, run_sweep
-from decodex.bench.emit import emit, render_csv
+from decodex.bench import SweepConfig, emit, render_csv, run_sweep
 
 config = SweepConfig(
     backends=("cpu", "lookaside", "inline-unified"),

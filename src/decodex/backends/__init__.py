@@ -4,9 +4,10 @@ Functional decoding happens once, in cpu.decode_outcomes, so decoded bits
 and iteration counts are identical across backends.  cpu_decode_batch
 decodes a batch on a worker pool and times it on the wall clock.  The
 lookaside and inline models are virtual-clock timing functions of descriptor
-shapes plus a LatencyModel: lookaside_bulk_report and inline_parallel_report
-give the timing report alone, and the runners (run_lookaside_*,
-inline_decode_*) add the decoded outcomes of the ops they delivered.
+shapes plus a LookasideModel or an InlineModel: lookaside_bulk_report and
+inline_parallel_report give the timing report alone, and the runners
+(run_lookaside_*, inline_decode_*) add the decoded outcomes of the ops they
+delivered.
 """
 
 from __future__ import annotations
@@ -27,33 +28,25 @@ from .lookaside import (
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
-from .model import (
-    DEFAULT_MODELS,
-    LatencyModel,
-    inline_default,
-    lookaside_default,
-    unified_default,
-)
+from .model import DEFAULT_MODELS, InlineModel, LookasideModel
 
 BACKEND_KINDS = ("cpu", *DEFAULT_MODELS)
 
 __all__ = [
     "BACKEND_KINDS",
     "DEFAULT_MODELS",
-    "LatencyModel",
+    "InlineModel",
+    "LookasideModel",
     "QueuePair",
     "cpu_decode_batch",
     "inline_decode_parallel",
     "inline_decode_sequential",
-    "inline_default",
     "inline_parallel_report",
     "inline_timing_parallel",
     "inline_timing_sequential",
     "lookaside_bulk_report",
-    "lookaside_default",
     "lookaside_dequeue",
     "lookaside_enqueue",
     "run_lookaside_bulk",
     "run_lookaside_sequential",
-    "unified_default",
 ]

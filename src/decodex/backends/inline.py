@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
 from .cpu import decoded
-from .model import LatencyModel
+from .model import InlineModel
 from .report import BackendReport
 
 
@@ -35,22 +35,22 @@ class InlineTiming:
     tb_us: tuple[float, ...] = ()  # per-launch-stream completion latency, input order
 
 
-def _launch_time(codewords: int, model: LatencyModel) -> float:
+def _launch_time(codewords: int, model: InlineModel) -> float:
     waves = math.ceil(codewords / model.capacity)
     return model.launch_overhead + waves * model.per_codeword_time
 
 
-def _stream_slots(codewords: int, model: LatencyModel) -> int:
+def _stream_slots(codewords: int, model: InlineModel) -> int:
     return min(max(codewords, model.min_stream_slots), model.capacity)
 
 
-def _transfer_time(batch: list[DecodeDescriptor], model: LatencyModel) -> float:
+def _transfer_time(batch: list[DecodeDescriptor], model: InlineModel) -> float:
     nbytes = sum(d.input_bytes + d.output_bytes for d in batch)
     return 2 * model.dma_overhead + model.transfer_per_byte * nbytes
 
 
 def inline_timing_sequential(
-    codeword_counts: list[int], model: LatencyModel, transfer_us: list[float] | None = None
+    codeword_counts: list[int], model: InlineModel, transfer_us: list[float] | None = None
 ) -> InlineTiming:
     """Pure timing of per-TB launches, back to back; ``transfer_us`` gives
     each launch's transfer time.  Utilization is the mean per-launch slot
@@ -74,7 +74,7 @@ def inline_timing_sequential(
 
 
 def inline_timing_parallel(
-    codeword_counts: list[int], model: LatencyModel, transfer_us: float = 0.0
+    codeword_counts: list[int], model: InlineModel, transfer_us: float = 0.0
 ) -> InlineTiming:
     """Pure timing of one launch over all codewords, after one aggregate
     transfer of ``transfer_us``; every stream's slot footprint is resident at
@@ -102,7 +102,7 @@ def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming) -> B
 
 
 def inline_parallel_report(
-    tb_batches: list[list[DecodeDescriptor]], model: LatencyModel
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel
 ) -> BackendReport:
     """Timing of a single launch over all codewords after one aggregate transfer."""
     counts = [len(b) for b in tb_batches]
@@ -111,7 +111,7 @@ def inline_parallel_report(
 
 
 def inline_decode_sequential(
-    tb_batches: list[list[DecodeDescriptor]], model: LatencyModel
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel
 ) -> BackendReport:
     """One launch per TB, back to back, each TB transferred separately."""
     counts = [len(b) for b in tb_batches]
@@ -121,7 +121,7 @@ def inline_decode_sequential(
 
 
 def inline_decode_parallel(
-    tb_batches: list[list[DecodeDescriptor]], model: LatencyModel
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel
 ) -> BackendReport:
     """inline_parallel_report plus the decoded outcomes."""
     return decoded(inline_parallel_report(tb_batches, model), [d for b in tb_batches for d in b])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
 from .cpu import decoded
-from .model import LatencyModel
+from .model import LookasideModel
 from .report import BackendReport
 
 DEFAULT_QUEUE_DEPTH = 1024
@@ -34,7 +34,7 @@ DEFAULT_DRAIN_RETRIES = 100_000
 class QueuePair:
     """In-flight op FIFO plus the device pipeline's next-start time."""
 
-    model: LatencyModel
+    model: LookasideModel
     depth: int = DEFAULT_QUEUE_DEPTH
     fifo: deque = field(default_factory=deque)  # (descriptor, enqueue_time, completion_time)
     next_start: float = 0.0
@@ -117,7 +117,7 @@ def _wait(q: QueuePair, target: int, clock: float, retries: int, completed: list
 
 def lookaside_bulk_report(
     descriptors: list[DecodeDescriptor],
-    model: LatencyModel,
+    model: LookasideModel,
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
 ) -> BackendReport:
@@ -142,7 +142,7 @@ def lookaside_bulk_report(
 
 
 def run_lookaside_sequential(
-    descriptors: list[DecodeDescriptor], model: LatencyModel
+    descriptors: list[DecodeDescriptor], model: LookasideModel
 ) -> BackendReport:
     """One op at a time: the bulk queue at depth 1, plus decoded outcomes."""
     return decoded(lookaside_bulk_report(descriptors, model, depth=1), descriptors)
@@ -150,7 +150,7 @@ def run_lookaside_sequential(
 
 def run_lookaside_bulk(
     descriptors: list[DecodeDescriptor],
-    model: LatencyModel,
+    model: LookasideModel,
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
 ) -> BackendReport:

@@ -14,7 +14,7 @@ import os
 import sys
 import typing
 
-from ..backends import DEFAULT_MODELS, LatencyModel
+from ..backends import DEFAULT_MODELS
 from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
 from .emit import emit, render_csv
@@ -72,8 +72,9 @@ def _section_kwargs(cls, section, names={}) -> dict:
 def load_sweep_config(path: str | None) -> SweepConfig:
     """Build a SweepConfig from an INI config file.
 
-    Sections: [sweep] for the grid, [model.<backend>] for LatencyModel
-    overrides (durations in microseconds, transfer_per_byte in us/byte).
+    Sections: [sweep] for the grid, [model.<backend>] for fields of that
+    backend's LookasideModel or InlineModel (durations in microseconds,
+    transfer_per_byte in us/byte).
     Values are literal: no interpolation, and no [DEFAULT] section.
     """
     kwargs = {}
@@ -91,8 +92,8 @@ def load_sweep_config(path: str | None) -> SweepConfig:
             if name == "sweep":
                 kwargs = _section_kwargs(SweepConfig, parser[name], _SWEEP_ALIASES)
             elif name != kind and kind in DEFAULT_MODELS:
-                overrides = _section_kwargs(LatencyModel, parser[name])
-                models[kind] = dataclasses.replace(DEFAULT_MODELS[kind](), **overrides)
+                overrides = _section_kwargs(type(DEFAULT_MODELS[kind]), parser[name])
+                models[kind] = dataclasses.replace(DEFAULT_MODELS[kind], **overrides)
             else:
                 raise ConfigurationError(f"unknown section [{name}]")
     kwargs["seed"] = _env_seed(kwargs.get("seed", DEFAULT_SEED))

@@ -10,12 +10,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..backends import (
+    InlineModel,
+    LookasideModel,
     inline_decode_parallel,
     inline_decode_sequential,
-    inline_default,
     inline_timing_parallel,
     inline_timing_sequential,
-    lookaside_default,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
@@ -56,7 +56,7 @@ def run_bulk_study(
     """
     if not n_ops_list or min(n_ops_list) < 1:
         raise ConfigurationError(f"n_ops must be a non-empty list of counts >= 1: {n_ops_list}")
-    model = lookaside_default()
+    model = LookasideModel()
     rows = []
     n_max = max(n_ops_list)
     vectors = generate_cell_vectors(
@@ -104,7 +104,7 @@ def run_parallel_study(
     one TB; both launch modes decode the same descriptors.  Kernel columns
     exclude transfers, total columns include them.
     """
-    model = inline_default()
+    model = InlineModel()
     rows = []
     for n_ue in n_ue_list:
         if n_ue < 1 or n_ue > prb_total:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .. import backends
-from ..nr import reassemble
+from ..ldpc import DEFAULT_MAX_ITERATIONS, MAX_ITERATIONS
+from ..nr import mcs_lookup, reassemble
 from ..phy import generate_cell_vectors
 
 DEFAULT_MCS_SET = tuple(range(20))
@@ -29,7 +30,6 @@ DEFAULT_SNR_GRID = (-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 DEFAULT_PRB_SET = (50, 100, 150, 200)
 DEFAULT_N_TB = 100
 DEFAULT_SEED = 12345
-DEFAULT_MAX_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,27 @@ class SweepConfig:
     seed: int = DEFAULT_SEED
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     workers: int = 1
-    models: dict = field(default_factory=dict)  # backend kind -> LatencyModel
+    models: dict = field(default_factory=dict)  # backend kind -> LookasideModel | InlineModel
 
     def __post_init__(self):
         if not (self.backends and self.mcs_set and self.snr_grid_db and self.prb_set):
             raise ValueError("backends, mcs_set, snr_grid_db, prb_set must be non-empty")
         if self.n_tb < 1:
             raise ValueError("n_tb must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 1 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must be in [1, {MAX_ITERATIONS}]")
+        for mcs in self.mcs_set:
+            mcs_lookup(mcs)
+        if min(self.prb_set) < 1:
+            raise ValueError(f"every prb must be >= 1: {self.prb_set}")
         unknown = set(self.backends) - set(backends.BACKEND_KINDS)
         if unknown:
             raise ValueError(f"unknown backends: {sorted(unknown)}")
+        for kind, model in self.models.items():
+            if model is not None and type(model) is not type(backends.DEFAULT_MODELS.get(kind)):
+                raise ValueError(f"{kind} takes no {type(model).__name__}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,7 @@ def _cell_records(
         if kind == "cpu":
             reports, delivered = [cpu], outcomes
         else:
-            model = config.models.get(kind) or backends.DEFAULT_MODELS[kind]()
+            model = config.models.get(kind) or backends.DEFAULT_MODELS[kind]
             if kind == "lookaside":
                 reports = [backends.lookaside_bulk_report(b, model) for b in batches]
             else:
@@ -149,7 +160,7 @@ def run_cell(
     n_tb: int,
     seed: int,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    model: backends.LatencyModel | None = None,
+    model: backends.LookasideModel | backends.InlineModel | None = None,
     workers: int = 1,
 ) -> SweepRecord:
     """Run one sweep cell on one backend and reduce it to a record."""

@@ -11,7 +11,14 @@ from .basegraph import (
     get_base_graph,
     set_index_for_zc,
 )
-from .decode import LLR_MAX, DecodeResult, decode_layered_minsum, syndrome_check
+from .decode import (
+    DEFAULT_MAX_ITERATIONS,
+    LLR_MAX,
+    MAX_ITERATIONS,
+    DecodeResult,
+    decode_layered_minsum,
+    syndrome_check,
+)
 from .encode import encode
 from .kernel import minsum_kernel
 from .params import CodeBlockParams
@@ -23,8 +30,10 @@ __all__ = [
     "BaseGraph",
     "CodeBlockParams",
     "ConfigurationError",
+    "DEFAULT_MAX_ITERATIONS",
     "DecodeResult",
     "LLR_MAX",
+    "MAX_ITERATIONS",
     "ParityCheckMatrix",
     "decode_layered_minsum",
     "encode",

@@ -22,6 +22,7 @@ from .params import CodeBlockParams
 LLR_MAX = 127
 NORM_FACTOR = 0.75  # min-sum check-to-variable scaling
 MAX_ITERATIONS = 2**31 - 1  # the kernel counts sweeps in a C int
+DEFAULT_MAX_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def syndrome_check(pcm: ParityCheckMatrix, codeword: np.ndarray) -> bool:
 def decode_layered_minsum(
     llr: np.ndarray,
     params: CodeBlockParams,
-    max_iterations: int = 20,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     early_termination: bool = True,
 ) -> DecodeResult:
     """Run layered min-sum, normalized by NORM_FACTOR, over the base-graph rows.

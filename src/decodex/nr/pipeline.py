@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..ldpc import CodeBlockParams
+from ..ldpc import DEFAULT_MAX_ITERATIONS, CodeBlockParams
 from .crc import CB_CRC_VARIANT, TB_CRC_VARIANT, attach_crc, check_crc
 from .mcs import compute_tb_size, mcs_lookup, num_coded_bits
 from .segment import SegmentationPlan, TB_CRC_LEN, segment, select_base_graph
@@ -85,7 +85,7 @@ class DecodeDescriptor:
 
 
 def build_tb_descriptors(
-    tb: TransportBlock, max_iterations: int = 20, tb_id: int = 0
+    tb: TransportBlock, max_iterations: int = DEFAULT_MAX_ITERATIONS, tb_id: int = 0
 ) -> list[DecodeDescriptor]:
     """One decode descriptor per code block, with its E set."""
     plan = plan_transport_block(tb)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..ldpc import encode
+from ..ldpc import DEFAULT_MAX_ITERATIONS, encode
 from ..nr import (
     DecodeDescriptor,
     TransportBlock,
@@ -48,7 +48,7 @@ def prepare_tb_vectors(
     snr_db: float,
     seed: int,
     tb_id: int = 0,
-    max_iterations: int = 20,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> TbVectors:
     """Encode, modulate, add noise, demap, and de-match one transport block."""
     entry = mcs_lookup(tb.mcs)
@@ -77,7 +77,7 @@ def generate_cell_vectors(
     snr_db: float,
     n_tb: int,
     seed: int,
-    max_iterations: int = 20,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> list[TbVectors]:
     """n_tb random TBs for one (mcs, prb, snr) cell, seeds spread per TB."""
     out = []

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from decodex.backends import cpu_decode_batch, lookaside_default, run_lookaside_bulk
+from decodex.backends import LookasideModel, cpu_decode_batch, run_lookaside_bulk
 from decodex.bench import run_bulk_study, run_cell, run_iteration_study, run_parallel_study
 from decodex.ldpc import decode_layered_minsum, encode
 from decodex.nr.crc import CRC24A_POLY, CRC24B_POLY, crc24
@@ -245,13 +245,13 @@ def test_criterion_10_conservation_and_determinism():
     for _ in range(scenarios):
         n = int(rng.integers(1, 41))
         depth = int(rng.integers(1, 65))
-        model = lookaside_default()
+        model = LookasideModel()
         report = run_lookaside_bulk(pool[:n], model, depth=depth)
         if report.failure is None and report.enq_count == report.deq_count == n:
             conserved += 1
 
-    a = run_lookaside_bulk(pool[:16], lookaside_default())
-    b = run_lookaside_bulk(pool[:16], lookaside_default())
+    a = run_lookaside_bulk(pool[:16], LookasideModel())
+    b = run_lookaside_bulk(pool[:16], LookasideModel())
     reproducible = (
         a.tb_latency_us == b.tb_latency_us
         and a.total_us == b.total_us

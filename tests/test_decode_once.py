@@ -9,11 +9,11 @@ import decodex.backends.inline as inline
 import decodex.backends.lookaside as lookaside
 import decodex.bench.sweep as sweep
 from decodex.backends import (
+    InlineModel,
+    LookasideModel,
     cpu_decode_batch,
     inline_decode_parallel,
     inline_decode_sequential,
-    inline_default,
-    lookaside_default,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
@@ -62,10 +62,10 @@ def _without_llr():
     "entry",
     [
         lambda d: cpu_decode_batch([d]),
-        lambda d: run_lookaside_sequential([d], lookaside_default()),
-        lambda d: run_lookaside_bulk([d], lookaside_default()),
-        lambda d: inline_decode_sequential([[d]], inline_default()),
-        lambda d: inline_decode_parallel([[d]], inline_default()),
+        lambda d: run_lookaside_sequential([d], LookasideModel()),
+        lambda d: run_lookaside_bulk([d], LookasideModel()),
+        lambda d: inline_decode_sequential([[d]], InlineModel()),
+        lambda d: inline_decode_parallel([[d]], InlineModel()),
     ],
     ids=[
         "cpu_decode_batch", "run_lookaside_sequential", "run_lookaside_bulk",

@@ -130,9 +130,15 @@ _TINY_SWEEP = "[sweep]\nbackends = lookaside\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb
         _TINY_SWEEP + "[sweep]\nseed = 2\n",
         _TINY_SWEEP + "[DEFAULT]\nn_tb = 3\n",
         "n_tb = 3\n",
+        _TINY_SWEEP + "seed = -1\n",
+        _TINY_SWEEP + "max_iterations = 0\n",
+        _TINY_SWEEP.replace("mcs = 0", "mcs = 40"),
+        _TINY_SWEEP.replace("prb = 5", "prb = 0"),
+        _TINY_SWEEP + "[model.inline]\nop_service = 500\n",
     ],
     ids=["unknown-key", "unknown-section", "models-key", "repeated-key",
-         "repeated-section", "default-section", "no-section-header"],
+         "repeated-section", "default-section", "no-section-header", "negative-seed",
+         "zero-max-iterations", "unknown-mcs", "zero-prb", "key-of-other-device"],
 )
 def test_cli_config_mistakes_are_configuration_errors(tmp_path, capsys, body):
     cfg = _write_config(tmp_path / "cfg.ini", body)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from decodex.backends import (
+    DEFAULT_MODELS,
+    InlineModel,
     inline_decode_parallel,
     inline_decode_sequential,
-    inline_default,
     inline_timing_parallel,
     inline_timing_sequential,
-    unified_default,
 )
 from decodex.phy import generate_cell_vectors
 
@@ -23,14 +23,14 @@ def _batches(n_tb, mcs=4, prb=10, seed=3):
 
 
 def test_one_codeword_launch_cost():
-    m = inline_default()
+    m = InlineModel()
     timing = inline_timing_sequential([1], m)
     assert timing.kernel_us == m.launch_overhead + m.per_codeword_time
 
 
 def test_sequential_launch_summation_without_gap():
     """With no re-orchestration gap the total is the plain launch sum."""
-    m = replace(inline_default(), inter_launch_gap=0.0)
+    m = replace(InlineModel(), inter_launch_gap=0.0)
     c = 3
     timing = inline_timing_sequential([c] * 10, m)
     per = m.launch_overhead + math.ceil(c / m.capacity) * m.per_codeword_time
@@ -38,14 +38,14 @@ def test_sequential_launch_summation_without_gap():
 
 
 def test_sequential_gap_applies_between_launches():
-    m = inline_default()
+    m = InlineModel()
     t1 = inline_timing_sequential([1], m).kernel_us
     t2 = inline_timing_sequential([1, 1], m).kernel_us
     assert t2 == pytest.approx(2 * t1 + m.inter_launch_gap)
 
 
 def test_parallel_equals_sequential_for_single_tb():
-    m = inline_default()
+    m = InlineModel()
     batches = _batches(1)
     seq = inline_decode_sequential(batches, m)
     par = inline_decode_parallel(batches, m)
@@ -54,7 +54,7 @@ def test_parallel_equals_sequential_for_single_tb():
 
 
 def test_parallel_kernel_never_slower():
-    m = inline_default()
+    m = InlineModel()
     for n in (1, 2, 5, 8):
         counts = [2] * n
         seq = inline_timing_sequential(counts, m)
@@ -63,20 +63,20 @@ def test_parallel_kernel_never_slower():
 
 
 def test_parallel_wave_count_rounds_up():
-    m = replace(inline_default(), capacity=4, min_stream_slots=1)
+    m = replace(InlineModel(), capacity=4, min_stream_slots=1)
     timing = inline_timing_parallel([3, 3, 3], m)  # 9 codewords -> 3 waves
     assert timing.kernel_us == m.launch_overhead + 3 * m.per_codeword_time
 
 
 def test_utilization_linear_in_tb_count_until_capacity():
-    m = replace(inline_default(), capacity=64, min_stream_slots=16)
+    m = replace(InlineModel(), capacity=64, min_stream_slots=16)
     utils = [inline_timing_parallel([1] * n, m).utilization for n in (1, 2, 3, 4, 5)]
     assert utils[:4] == pytest.approx([0.25, 0.5, 0.75, 1.0])
     assert utils[4] == 1.0  # capped at capacity
 
 
 def test_sequential_utilization_constant_in_tb_count():
-    m = inline_default()
+    m = InlineModel()
     u1 = inline_timing_sequential([2], m).utilization
     u8 = inline_timing_sequential([2] * 8, m).utilization
     assert u1 == pytest.approx(u8)
@@ -86,7 +86,7 @@ def test_functional_equivalence_and_ordering():
     from decodex.ldpc import decode_layered_minsum
 
     batches = _batches(3)
-    m = inline_default()
+    m = InlineModel()
     par = inline_decode_parallel(batches, m)
     seq = inline_decode_sequential(batches, m)
     for a, b in zip(par.outcomes, seq.outcomes):
@@ -98,12 +98,12 @@ def test_functional_equivalence_and_ordering():
 
 
 def test_unified_variant_zeroes_transfer_costs():
-    m = unified_default()
+    m = DEFAULT_MODELS["inline-unified"]
     assert m.transfer_per_byte == 0.0
     assert m.dma_overhead == 0.0
     batches = _batches(2)
     unified = inline_decode_parallel(batches, m)
-    inline = inline_decode_parallel(batches, inline_default())
+    inline = inline_decode_parallel(batches, InlineModel())
     assert unified.total_us < inline.total_us  # transfers removed
     kernel_only = inline_timing_parallel([len(b) for b in batches], m).kernel_us
     assert unified.total_us == pytest.approx(kernel_only)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodex.backends import (
+    LookasideModel,
     QueuePair,
     lookaside_dequeue,
     lookaside_enqueue,
-    lookaside_default,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
@@ -30,7 +30,7 @@ def _ops(n):
 
 @pytest.mark.parametrize("tpb", [0.0, 0.002])
 def test_single_op_timeline(tpb):
-    m = replace(lookaside_default(), transfer_per_byte=tpb)
+    m = replace(LookasideModel(), transfer_per_byte=tpb)
     q = QueuePair(model=m)
     op = _ops(1)[0]
     assert lookaside_enqueue(q, op, now=0.0)
@@ -46,7 +46,7 @@ def test_single_op_timeline(tpb):
 
 
 def test_backpressure_at_depth():
-    q = QueuePair(model=lookaside_default(), depth=2)
+    q = QueuePair(model=LookasideModel(), depth=2)
     ops = _ops(3)
     assert lookaside_enqueue(q, ops[0], 0.0)
     assert lookaside_enqueue(q, ops[1], 0.0)
@@ -55,7 +55,7 @@ def test_backpressure_at_depth():
 
 def test_back_to_back_ops_pipeline():
     """Second completion = first start + pipeline_ii + service + return."""
-    m = lookaside_default()
+    m = LookasideModel()
     q = QueuePair(model=m)
     a, b = _ops(2)
     lookaside_enqueue(q, a, 0.0)
@@ -66,7 +66,7 @@ def test_back_to_back_ops_pipeline():
 
 
 def test_drain_with_infinite_horizon_is_fifo():
-    m = lookaside_default()
+    m = LookasideModel()
     q = QueuePair(model=m)
     ops = _ops(5)
     for op in ops:
@@ -77,7 +77,7 @@ def test_drain_with_infinite_horizon_is_fifo():
 
 
 def test_sequential_total_bounds():
-    m = lookaside_default()
+    m = LookasideModel()
     ops = _ops(4)
     report = run_lookaside_sequential(ops, m)
     assert report.total_us >= len(ops) * (m.dma_overhead + m.op_service)
@@ -85,14 +85,14 @@ def test_sequential_total_bounds():
 
 
 def test_bulk_equals_sequential_for_one_op():
-    m = lookaside_default()
+    m = LookasideModel()
     seq = run_lookaside_sequential(_ops(1), m)
     blk = run_lookaside_bulk(_ops(1), m)
     assert seq.total_us == blk.total_us
 
 
 def test_bulk_dominates_sequential():
-    m = lookaside_default()
+    m = LookasideModel()
     for n in (1, 3, 10, 40):
         seq = run_lookaside_sequential(_ops(n), m)
         blk = run_lookaside_bulk(_ops(n), m)
@@ -100,27 +100,27 @@ def test_bulk_dominates_sequential():
 
 
 def test_completion_order_is_fifo():
-    report = run_lookaside_bulk(_ops(12), lookaside_default())
+    report = run_lookaside_bulk(_ops(12), LookasideModel())
     ids = [o.tb_id for o in report.outcomes]
     assert ids == sorted(ids)
 
 
 def test_drain_retry_cap_reports_shortfall():
-    report = run_lookaside_bulk(_ops(6), lookaside_default(), max_drain_retries=3)
+    report = run_lookaside_bulk(_ops(6), LookasideModel(), max_drain_retries=3)
     assert report.failure is not None
     assert "drain_shortfall" in report.failure
     assert report.enq_count != report.deq_count
 
 
 def test_small_queue_depth_does_not_deadlock():
-    report = run_lookaside_bulk(_ops(20), lookaside_default(), depth=4)
+    report = run_lookaside_bulk(_ops(20), LookasideModel(), depth=4)
     assert report.failure is None
     assert report.enq_count == report.deq_count == 20
 
 
 def test_virtual_reports_are_bit_reproducible():
-    a = run_lookaside_bulk(_ops(9), lookaside_default())
-    b = run_lookaside_bulk(_ops(9), lookaside_default())
+    a = run_lookaside_bulk(_ops(9), LookasideModel())
+    b = run_lookaside_bulk(_ops(9), LookasideModel())
     assert a.tb_latency_us == b.tb_latency_us
     assert a.total_us == b.total_us
     for oa, ob in zip(a.outcomes, b.outcomes):
@@ -141,7 +141,7 @@ _time_fields = st.sampled_from(
 )
 def test_total_time_monotone_in_cost_fields(n, field, bump):
     """Raising any time-cost field never speeds the run up."""
-    base = lookaside_default()
+    base = LookasideModel()
     raised = replace(base, **{field: getattr(base, field) + bump})
     if raised.pipeline_ii > raised.op_service:
         raised = replace(raised, op_service=raised.pipeline_ii)
@@ -154,7 +154,7 @@ def test_functional_output_matches_direct_decode():
     from decodex.ldpc import decode_layered_minsum
 
     ops = _ops(3)
-    report = run_lookaside_bulk(ops, lookaside_default())
+    report = run_lookaside_bulk(ops, LookasideModel())
     by_key = {(o.tb_id, o.cb_id): o for o in report.outcomes}
     for d in ops:
         direct = decode_layered_minsum(d.llr, d.cb_params, d.max_iterations)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from decodex.backends import lookaside_default
+from decodex.backends import InlineModel, LookasideModel
 from decodex.bench import SweepConfig, run_cell, run_sweep
 
 
@@ -105,10 +105,20 @@ def test_config_validation():
         SweepConfig(n_tb=0)
     with pytest.raises(ValueError):
         SweepConfig(backends=("quantum",))
+    with pytest.raises(ValueError):
+        SweepConfig(seed=-1)
+    with pytest.raises(ValueError):
+        SweepConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        SweepConfig(mcs_set=(4, 40))
+    with pytest.raises(ValueError):
+        SweepConfig(prb_set=(50, 0))
+    with pytest.raises(ValueError, match="lookaside takes no InlineModel"):
+        SweepConfig(backends=("lookaside",), models={"lookaside": InlineModel()})
 
 
 def test_model_override_reaches_the_backend():
-    slow = dataclasses.replace(lookaside_default(), op_service=118.0, return_overhead=2.0)
+    slow = dataclasses.replace(LookasideModel(), op_service=118.0, return_overhead=2.0)
     fast = run_cell("lookaside", 0, 8.0, 5, 2, seed=8)
     slowed = run_cell("lookaside", 0, 8.0, 5, 2, seed=8, model=slow)
     assert slowed.mean_us == fast.mean_us + 100.0

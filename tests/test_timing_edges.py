@@ -9,13 +9,12 @@ from dataclasses import fields, replace
 import pytest
 
 from decodex.backends import (
-    LatencyModel,
+    InlineModel,
+    LookasideModel,
     inline_decode_parallel,
     inline_decode_sequential,
-    inline_default,
     inline_timing_parallel,
     inline_timing_sequential,
-    lookaside_default,
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
@@ -45,32 +44,38 @@ def _ops(n):
 @pytest.mark.parametrize("runner", [run_lookaside_bulk])
 def test_zero_queue_depth_is_rejected(runner):
     with deadline(10), pytest.raises(ValueError, match="depth"):
-        runner(_ops(2), lookaside_default(), depth=0)
+        runner(_ops(2), LookasideModel(), depth=0)
+
+
+_MODELS = (LookasideModel(), InlineModel())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", [f.name for f in fields(LatencyModel)])
+@pytest.mark.parametrize("name", sorted({f.name for m in _MODELS for f in fields(m)}))
 def test_non_finite_model_fields_are_rejected(name, value):
-    with pytest.raises(ValueError, match=name):
-        replace(lookaside_default(), **{name: value})
+    """Each model that has the field rejects the value; a shared field is
+    checked on both."""
+    for model in (m for m in _MODELS if hasattr(m, name)):
+        with pytest.raises(ValueError, match=name):
+            replace(model, **{name: value})
 
 
 def test_nan_poll_interval_cannot_reach_the_sequential_runner():
     with deadline(10), pytest.raises(ValueError, match="poll_interval"):
-        run_lookaside_sequential(_ops(1), replace(lookaside_default(), poll_interval=math.nan))
+        run_lookaside_sequential(_ops(1), replace(LookasideModel(), poll_interval=math.nan))
 
 
 @pytest.mark.parametrize("timing", [inline_timing_sequential, inline_timing_parallel])
 def test_empty_inline_timing_is_zero_work(timing):
-    t = timing([], inline_default())
+    t = timing([], InlineModel())
     assert (t.kernel_us, t.total_us, t.utilization) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: inline_decode_sequential([], inline_default()),
-        lambda: inline_decode_parallel([], inline_default()),
+        lambda: inline_decode_sequential([], InlineModel()),
+        lambda: inline_decode_parallel([], InlineModel()),
     ],
     ids=["sequential", "parallel"],
 )
@@ -83,7 +88,7 @@ def test_empty_inline_run_is_zero_work(run):
 
 def test_tiny_poll_interval_sequential_wait_is_bounded():
     """A wait polls at most DEFAULT_DRAIN_RETRIES times, then reports a shortfall."""
-    model = replace(lookaside_default(), poll_interval=1e-9)
+    model = replace(LookasideModel(), poll_interval=1e-9)
     with deadline(10):
         report = run_lookaside_sequential(_ops(1), model)
     assert "drain_shortfall" in report.failure
@@ -92,7 +97,7 @@ def test_tiny_poll_interval_sequential_wait_is_bounded():
 
 
 def test_tiny_poll_interval_backpressure_wait_is_bounded():
-    model = replace(lookaside_default(), poll_interval=1e-9)
+    model = replace(LookasideModel(), poll_interval=1e-9)
     with deadline(10):
         report = run_lookaside_bulk(_ops(3), model, depth=1)
     assert "drain_shortfall" in report.failure
