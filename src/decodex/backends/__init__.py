@@ -6,8 +6,8 @@ decodes a batch on a worker pool and times it on the wall clock.  The
 lookaside and inline models are virtual-clock timing functions of descriptor
 shapes plus a LookasideModel or an InlineModel: lookaside_bulk_report and
 inline_parallel_report give the timing report alone, and the runners
-(run_lookaside_*, inline_decode_*) add the decoded outcomes of the ops they
-delivered.
+(run_lookaside_*, inline_decode_*) attach the caller's outcomes of the ops
+they delivered; no runner decodes, and perfbench hooks their names.
 """
 
 from __future__ import annotations

@@ -42,16 +42,6 @@ def decode_outcomes(descriptors: list[DecodeDescriptor]) -> list[DecodeOutcome]:
     return outcomes
 
 
-def decoded(report: BackendReport, descriptors: list[DecodeDescriptor]) -> BackendReport:
-    """Fill a virtual-clock report's outcomes by decoding the ops it delivered.
-
-    A lookaside drain shortfall delivers only the first deq_count ops of its
-    FIFO; inline reports leave deq_count None and deliver every op.
-    """
-    report.outcomes = decode_outcomes(descriptors[: report.deq_count])
-    return report
-
-
 def _decode_tb(args: tuple[int, list[DecodeDescriptor]]) -> tuple[int, float, list[DecodeOutcome]]:
     tb_id, descriptors = args
     start = time.perf_counter()

@@ -11,8 +11,9 @@ lone sequential stream keeps a constant footprint.
 Kernel time excludes transfers; total time adds the host-device transfer
 costs (zeroed for the unified-memory variant).  This module is timing only:
 inline_timing_* work on codeword counts, and the inline_decode_* runners
-add the decoded outcomes.  An empty input is zero work: 0 us at
-utilization 0.0.
+attach the caller's outcomes (batches flattened).  Despite their names they
+decode nothing; perfbench hooks them by name.  An empty input is zero work:
+0 us at utilization 0.0.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
-from .cpu import decoded
 from .model import InlineModel
-from .report import BackendReport
+from .report import BackendReport, DecodeOutcome
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,20 @@ def inline_parallel_report(
 
 
 def inline_decode_sequential(
-    tb_batches: list[list[DecodeDescriptor]], model: InlineModel
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: list[DecodeOutcome]
 ) -> BackendReport:
     """One launch per TB, back to back, each TB transferred separately."""
     counts = [len(b) for b in tb_batches]
     transfers = [_transfer_time(b, model) for b in tb_batches]
     report = _report(tb_batches, inline_timing_sequential(counts, model, transfers))
-    return decoded(report, [d for b in tb_batches for d in b])
+    report.outcomes = list(outcomes)
+    return report
 
 
 def inline_decode_parallel(
-    tb_batches: list[list[DecodeDescriptor]], model: InlineModel
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: list[DecodeOutcome]
 ) -> BackendReport:
-    """inline_parallel_report plus the decoded outcomes."""
-    return decoded(inline_parallel_report(tb_batches, model), [d for b in tb_batches for d in b])
+    """inline_parallel_report with the caller's ``outcomes`` attached."""
+    report = inline_parallel_report(tb_batches, model)
+    report.outcomes = list(outcomes)
+    return report

@@ -11,8 +11,8 @@ stopping after a retry budget with a drain_shortfall failure state.
 Sequential dispatch is the same loop at queue depth 1.
 
 This module is timing only: the virtual-clock report of a run follows from
-descriptor shapes and the model, and the run_lookaside_* runners add the
-decoded outcomes of the ops they delivered.
+descriptor shapes and the model.  The run_lookaside_* runners decode
+nothing; they attach the caller's outcomes of the ops the drain delivered.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
-from .cpu import decoded
 from .model import LookasideModel
-from .report import BackendReport
+from .report import BackendReport, DecodeOutcome
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_DRAIN_RETRIES = 100_000
@@ -141,19 +140,22 @@ def lookaside_bulk_report(
     return _timing_report(q, completed, clock, max_drain_retries)
 
 
-def run_lookaside_sequential(
-    descriptors: list[DecodeDescriptor], model: LookasideModel
-) -> BackendReport:
-    """One op at a time: the bulk queue at depth 1, plus decoded outcomes."""
-    return decoded(lookaside_bulk_report(descriptors, model, depth=1), descriptors)
-
-
 def run_lookaside_bulk(
     descriptors: list[DecodeDescriptor],
     model: LookasideModel,
+    outcomes: list[DecodeOutcome],
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
 ) -> BackendReport:
-    """lookaside_bulk_report plus the outcomes of the ops the drain delivered."""
+    """lookaside_bulk_report with the caller's ``outcomes`` (in descriptor
+    order) of the delivered ops: a drain shortfall delivers the first deq_count."""
     report = lookaside_bulk_report(descriptors, model, depth, max_drain_retries)
-    return decoded(report, descriptors)
+    report.outcomes = outcomes[: report.deq_count]
+    return report
+
+
+def run_lookaside_sequential(
+    descriptors: list[DecodeDescriptor], model: LookasideModel, outcomes: list[DecodeOutcome]
+) -> BackendReport:
+    """One op at a time: run_lookaside_bulk at queue depth 1."""
+    return run_lookaside_bulk(descriptors, model, outcomes, depth=1)

@@ -12,6 +12,7 @@ import numpy as np
 from ..backends import (
     InlineModel,
     LookasideModel,
+    cpu_decode_batch,
     inline_decode_parallel,
     inline_decode_sequential,
     inline_timing_parallel,
@@ -28,6 +29,7 @@ from ..nr import (
     rate_match,
     segment,
     select_base_graph,
+    split_coded_bits,
 )
 from ..phy import bits_to_llrs, generate_cell_vectors, prepare_tb_vectors
 
@@ -52,7 +54,8 @@ def run_bulk_study(
     on the default lookaside model.
 
     Ops are single-CB transport blocks small enough that their real decode
-    stays cheap; timing depends only on the model.
+    stays cheap; they are decoded once, for the largest row, through
+    cpu_decode_batch.  Timing depends only on the model.
     """
     if not n_ops_list or min(n_ops_list) < 1:
         raise ConfigurationError(f"n_ops must be a non-empty list of counts >= 1: {n_ops_list}")
@@ -63,10 +66,11 @@ def run_bulk_study(
         mcs=0, prb=2, snr_db=DEFAULT_STUDY_SNR_DB, n_tb=n_max, seed=seed
     )
     descriptors = [d for v in vectors for d in v.descriptors]
+    outcomes = cpu_decode_batch(descriptors).outcomes
     for n_ops in n_ops_list:
-        ops = descriptors[:n_ops]
-        seq = run_lookaside_sequential(ops, model)
-        blk = run_lookaside_bulk(ops, model)
+        ops, outs = descriptors[:n_ops], outcomes[:n_ops]
+        seq = run_lookaside_sequential(ops, model, outs)
+        blk = run_lookaside_bulk(ops, model, outs)
         seq_tput = n_ops / seq.total_us
         blk_tput = n_ops / blk.total_us
         rows.append(
@@ -101,18 +105,16 @@ def run_parallel_study(
     default inline model.
 
     Each UE gets floor(prb_total / n_ue) PRBs (remainder to the last UE) and
-    one TB; both launch modes decode the same descriptors.  Kernel columns
-    exclude transfers, total columns include them.
+    one TB, decoded once for both launch modes.  Kernel columns exclude
+    transfers, total columns include them.
     """
     model = InlineModel()
     rows = []
     for n_ue in n_ue_list:
         if n_ue < 1 or n_ue > prb_total:
             raise ConfigurationError(f"n_ue={n_ue} incompatible with prb_total={prb_total}")
-        share = prb_total // n_ue
-        prbs = [share] * (n_ue - 1) + [prb_total - share * (n_ue - 1)]
         batches = []
-        for ue, prb in enumerate(prbs):
+        for ue, prb in enumerate(split_coded_bits(prb_total, n_ue)):
             vec = prepare_tb_vectors(
                 random_transport_block(mcs, prb, np.random.default_rng(seed ^ ue)),
                 DEFAULT_STUDY_SNR_DB,
@@ -121,8 +123,9 @@ def run_parallel_study(
             )
             batches.append(vec.descriptors)
 
-        seq_report = inline_decode_sequential(batches, model)
-        par_report = inline_decode_parallel(batches, model)
+        outcomes = cpu_decode_batch([d for b in batches for d in b]).outcomes
+        seq_report = inline_decode_sequential(batches, model, outcomes)
+        par_report = inline_decode_parallel(batches, model, outcomes)
         counts = [len(b) for b in batches]
         seq_timing = inline_timing_sequential(counts, model)
         par_timing = inline_timing_parallel(counts, model)

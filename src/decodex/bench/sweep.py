@@ -5,11 +5,11 @@ chain (encode, modulate, AWGN, demap, de-match) and decodes every code block
 once, on the CPU worker pool.  Every backend then reduces the same decoded
 outcomes to one SweepRecord.  The cpu backend's latency is the wall clock of
 that decode, which takes the whole cell as one batch so the pool can spread
-TBs across cores.  The virtual-clock backends add only their timing, one TB
-at a time (lookaside_bulk_report, or inline_parallel_report for one launch),
-so their reported latency is the isolated per-TB round trip.  Cells execute
-sequentially and derive their seeds from the master seed, so a sweep is
-reproducible end to end (bit-exactly on virtual clocks).
+TBs across cores.  The virtual-clock backends add only their timing to each
+TB's outcomes, one TB at a time (run_lookaside_bulk, or inline_decode_parallel
+for one launch), so their reported latency is the isolated per-TB round trip.
+Cells execute sequentially and derive their seeds from the master seed, so a
+sweep is reproducible end to end (bit-exactly on virtual clocks).
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def _cell_records(
             reports, delivered = [cpu], outcomes
         else:
             model = config.models.get(kind) or backends.DEFAULT_MODELS[kind]
+            runs = zip(batches, outcomes)
             if kind == "lookaside":
-                reports = [backends.lookaside_bulk_report(b, model) for b in batches]
+                reports = [backends.run_lookaside_bulk(b, model, outs) for b, outs in runs]
             else:
-                reports = [backends.inline_parallel_report([b], model) for b in batches]
-            delivered = [outs[: r.deq_count] for outs, r in zip(outcomes, reports)]
+                reports = [backends.inline_decode_parallel([b], model, outs) for b, outs in runs]
+            delivered = [r.outcomes for r in reports]
         errors = sum(
             not (ok and len(outs) == len(b)) for ok, outs, b in zip(tb_ok, delivered, batches)
         )

@@ -1,9 +1,11 @@
-"""Shared test oracles, independent of the production code paths."""
+"""Shared test oracles, independent of the production code paths, and the
+decoded outcomes the virtual-clock runners take from their callers."""
 
 import itertools
 
 import numpy as np
 
+from decodex.backends import cpu_decode_batch
 from decodex.ldpc import CodeBlockParams, encode, expand_base_graph
 
 
@@ -47,3 +49,9 @@ def dense_syndrome_ok(bg: int, zc: int, set_index: int, codeword: np.ndarray) ->
     """Dense GF(2) matrix-vector oracle for the layered syndrome check."""
     h = expand_base_graph(bg, zc, set_index).to_dense()
     return int((h @ codeword % 2).sum()) == 0
+
+
+def outcomes_of(descriptors):
+    """Decoded outcomes of ``descriptors`` in their (tb_id, cb_id) order, as a
+    caller hands them to run_lookaside_* and inline_decode_*."""
+    return cpu_decode_batch(list(descriptors)).outcomes

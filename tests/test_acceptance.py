@@ -16,7 +16,7 @@ from decodex.ldpc import decode_layered_minsum, encode
 from decodex.nr.crc import CRC24A_POLY, CRC24B_POLY, crc24
 from decodex.phy import generate_cell_vectors
 
-from helpers import crc_bit_serial, error_patterns, ml_codeword, toy_code_table
+from helpers import crc_bit_serial, error_patterns, ml_codeword, outcomes_of, toy_code_table
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -240,18 +240,19 @@ def test_criterion_10_conservation_and_determinism():
         for v in generate_cell_vectors(0, 2, 30.0, 48, seed=77)
         for d in v.descriptors
     ]
+    outcomes = outcomes_of(pool)
     conserved = 0
     scenarios = 100
     for _ in range(scenarios):
         n = int(rng.integers(1, 41))
         depth = int(rng.integers(1, 65))
         model = LookasideModel()
-        report = run_lookaside_bulk(pool[:n], model, depth=depth)
+        report = run_lookaside_bulk(pool[:n], model, outcomes[:n], depth=depth)
         if report.failure is None and report.enq_count == report.deq_count == n:
             conserved += 1
 
-    a = run_lookaside_bulk(pool[:16], LookasideModel())
-    b = run_lookaside_bulk(pool[:16], LookasideModel())
+    a = run_lookaside_bulk(pool[:16], LookasideModel(), outcomes[:16])
+    b = run_lookaside_bulk(pool[:16], LookasideModel(), outcomes[:16])
     reproducible = (
         a.tb_latency_us == b.tb_latency_us
         and a.total_us == b.total_us

@@ -15,11 +15,16 @@ from decodex.backends import (
     inline_timing_sequential,
 )
 from decodex.phy import generate_cell_vectors
+from helpers import outcomes_of
 
 
 def _batches(n_tb, mcs=4, prb=10, seed=3):
     vecs = generate_cell_vectors(mcs, prb, 30.0, n_tb, seed)
     return [list(v.descriptors) for v in vecs]
+
+
+def _outcomes(batches):
+    return outcomes_of(d for b in batches for d in b)
 
 
 def test_one_codeword_launch_cost():
@@ -47,8 +52,9 @@ def test_sequential_gap_applies_between_launches():
 def test_parallel_equals_sequential_for_single_tb():
     m = InlineModel()
     batches = _batches(1)
-    seq = inline_decode_sequential(batches, m)
-    par = inline_decode_parallel(batches, m)
+    outs = _outcomes(batches)
+    seq = inline_decode_sequential(batches, m, outs)
+    par = inline_decode_parallel(batches, m, outs)
     assert seq.total_us == pytest.approx(par.total_us)
     assert seq.utilization == pytest.approx(par.utilization)
 
@@ -87,8 +93,9 @@ def test_functional_equivalence_and_ordering():
 
     batches = _batches(3)
     m = InlineModel()
-    par = inline_decode_parallel(batches, m)
-    seq = inline_decode_sequential(batches, m)
+    outs = _outcomes(batches)
+    par = inline_decode_parallel(batches, m, outs)
+    seq = inline_decode_sequential(batches, m, outs)
     for a, b in zip(par.outcomes, seq.outcomes):
         assert (a.tb_id, a.cb_id) == (b.tb_id, b.cb_id)
         assert np.array_equal(a.bits, b.bits)
@@ -102,8 +109,9 @@ def test_unified_variant_zeroes_transfer_costs():
     assert m.transfer_per_byte == 0.0
     assert m.dma_overhead == 0.0
     batches = _batches(2)
-    unified = inline_decode_parallel(batches, m)
-    inline = inline_decode_parallel(batches, InlineModel())
+    outs = _outcomes(batches)
+    unified = inline_decode_parallel(batches, m, outs)
+    inline = inline_decode_parallel(batches, InlineModel(), outs)
     assert unified.total_us < inline.total_us  # transfers removed
     kernel_only = inline_timing_parallel([len(b) for b in batches], m).kernel_us
     assert unified.total_us == pytest.approx(kernel_only)

@@ -16,6 +16,7 @@ from decodex.backends import (
     run_lookaside_sequential,
 )
 from decodex.phy import generate_cell_vectors
+from helpers import outcomes_of
 
 _POOL = None
 
@@ -79,48 +80,53 @@ def test_drain_with_infinite_horizon_is_fifo():
 def test_sequential_total_bounds():
     m = LookasideModel()
     ops = _ops(4)
-    report = run_lookaside_sequential(ops, m)
+    report = run_lookaside_sequential(ops, m, outcomes_of(ops))
     assert report.total_us >= len(ops) * (m.dma_overhead + m.op_service)
     assert report.enq_count == report.deq_count == 4
 
 
 def test_bulk_equals_sequential_for_one_op():
     m = LookasideModel()
-    seq = run_lookaside_sequential(_ops(1), m)
-    blk = run_lookaside_bulk(_ops(1), m)
+    outs = outcomes_of(_ops(1))
+    seq = run_lookaside_sequential(_ops(1), m, outs)
+    blk = run_lookaside_bulk(_ops(1), m, outs)
     assert seq.total_us == blk.total_us
 
 
 def test_bulk_dominates_sequential():
     m = LookasideModel()
     for n in (1, 3, 10, 40):
-        seq = run_lookaside_sequential(_ops(n), m)
-        blk = run_lookaside_bulk(_ops(n), m)
+        outs = outcomes_of(_ops(n))
+        seq = run_lookaside_sequential(_ops(n), m, outs)
+        blk = run_lookaside_bulk(_ops(n), m, outs)
         assert blk.total_us <= seq.total_us
 
 
 def test_completion_order_is_fifo():
-    report = run_lookaside_bulk(_ops(12), LookasideModel())
+    report = run_lookaside_bulk(_ops(12), LookasideModel(), outcomes_of(_ops(12)))
     ids = [o.tb_id for o in report.outcomes]
     assert ids == sorted(ids)
+    assert list(report.tb_latency_us) == [d.tb_id for d in _ops(12)]  # dequeue order
 
 
 def test_drain_retry_cap_reports_shortfall():
-    report = run_lookaside_bulk(_ops(6), LookasideModel(), max_drain_retries=3)
+    report = run_lookaside_bulk(_ops(6), LookasideModel(), outcomes_of(_ops(6)),
+                                max_drain_retries=3)
     assert report.failure is not None
     assert "drain_shortfall" in report.failure
     assert report.enq_count != report.deq_count
+    assert len(report.outcomes) == report.deq_count  # only the delivered ops
 
 
 def test_small_queue_depth_does_not_deadlock():
-    report = run_lookaside_bulk(_ops(20), LookasideModel(), depth=4)
+    report = run_lookaside_bulk(_ops(20), LookasideModel(), outcomes_of(_ops(20)), depth=4)
     assert report.failure is None
     assert report.enq_count == report.deq_count == 20
 
 
 def test_virtual_reports_are_bit_reproducible():
-    a = run_lookaside_bulk(_ops(9), LookasideModel())
-    b = run_lookaside_bulk(_ops(9), LookasideModel())
+    a = run_lookaside_bulk(_ops(9), LookasideModel(), outcomes_of(_ops(9)))
+    b = run_lookaside_bulk(_ops(9), LookasideModel(), outcomes_of(_ops(9)))
     assert a.tb_latency_us == b.tb_latency_us
     assert a.total_us == b.total_us
     for oa, ob in zip(a.outcomes, b.outcomes):
@@ -146,15 +152,16 @@ def test_total_time_monotone_in_cost_fields(n, field, bump):
     if raised.pipeline_ii > raised.op_service:
         raised = replace(raised, op_service=raised.pipeline_ii)
     ops = _ops(n)
+    outs = outcomes_of(ops)
     for runner in (run_lookaside_sequential, run_lookaside_bulk):
-        assert runner(ops, raised).total_us >= runner(ops, base).total_us
+        assert runner(ops, raised, outs).total_us >= runner(ops, base, outs).total_us
 
 
 def test_functional_output_matches_direct_decode():
     from decodex.ldpc import decode_layered_minsum
 
     ops = _ops(3)
-    report = run_lookaside_bulk(ops, LookasideModel())
+    report = run_lookaside_bulk(ops, LookasideModel(), outcomes_of(ops))
     by_key = {(o.tb_id, o.cb_id): o for o in report.outcomes}
     for d in ops:
         direct = decode_layered_minsum(d.llr, d.cb_params, d.max_iterations)

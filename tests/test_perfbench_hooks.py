@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from decodex.bench import SweepConfig, run_sweep
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
@@ -32,3 +34,23 @@ def test_benchmark_hooks_find_their_names(name):
 def test_latency_taps_find_their_names(name):
     with hooks.latency_tap(workloads.WORKLOADS[name].latency_targets(), []):
         pass
+
+
+def test_benchmark_sees_the_sweep_models():
+    """A sweep reaches the accelerator models through the runner names the
+    tracer spans and the gate's drain probe wrap."""
+    config = SweepConfig(backends=("lookaside", "inline"), mcs_set=(0,), snr_grid_db=(20.0,),
+                         prb_set=(2,), n_tb=2, seed=3)
+    tracer = tracing.Tracer()
+    with tracer.install():
+        run_sweep(config)
+    layers = {span[0] for span in tracer.spans}
+    assert {"backends.lookaside", "backends.inline"} <= layers
+
+    gate = check.Gate(workloads.WORKLOADS["sweep-4backend"], 12345)
+    with gate.probes():
+        run_sweep(config)
+    # The payload probe checks each TB once; the drain probe checks each
+    # lookaside call, one per TB.
+    assert gate.checks == 2 * config.n_tb
+    assert gate.failures == []

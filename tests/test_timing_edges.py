@@ -19,6 +19,7 @@ from decodex.backends import (
     run_lookaside_sequential,
 )
 from decodex.phy import generate_cell_vectors
+from helpers import outcomes_of
 
 
 @contextmanager
@@ -43,8 +44,9 @@ def _ops(n):
 
 @pytest.mark.parametrize("runner", [run_lookaside_bulk])
 def test_zero_queue_depth_is_rejected(runner):
+    ops = _ops(2)
     with deadline(10), pytest.raises(ValueError, match="depth"):
-        runner(_ops(2), LookasideModel(), depth=0)
+        runner(ops, LookasideModel(), outcomes_of(ops), depth=0)
 
 
 _MODELS = (LookasideModel(), InlineModel())
@@ -62,7 +64,7 @@ def test_non_finite_model_fields_are_rejected(name, value):
 
 def test_nan_poll_interval_cannot_reach_the_sequential_runner():
     with deadline(10), pytest.raises(ValueError, match="poll_interval"):
-        run_lookaside_sequential(_ops(1), replace(LookasideModel(), poll_interval=math.nan))
+        run_lookaside_sequential(_ops(1), replace(LookasideModel(), poll_interval=math.nan), [])
 
 
 @pytest.mark.parametrize("timing", [inline_timing_sequential, inline_timing_parallel])
@@ -74,8 +76,8 @@ def test_empty_inline_timing_is_zero_work(timing):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: inline_decode_sequential([], InlineModel()),
-        lambda: inline_decode_parallel([], InlineModel()),
+        lambda: inline_decode_sequential([], InlineModel(), []),
+        lambda: inline_decode_parallel([], InlineModel(), []),
     ],
     ids=["sequential", "parallel"],
 )
@@ -90,7 +92,7 @@ def test_tiny_poll_interval_sequential_wait_is_bounded():
     """A wait polls at most DEFAULT_DRAIN_RETRIES times, then reports a shortfall."""
     model = replace(LookasideModel(), poll_interval=1e-9)
     with deadline(10):
-        report = run_lookaside_sequential(_ops(1), model)
+        report = run_lookaside_sequential(_ops(1), model, outcomes_of(_ops(1)))
     assert "drain_shortfall" in report.failure
     assert (report.enq_count, report.deq_count) == (1, 0)
     assert report.outcomes == []
@@ -99,7 +101,7 @@ def test_tiny_poll_interval_sequential_wait_is_bounded():
 def test_tiny_poll_interval_backpressure_wait_is_bounded():
     model = replace(LookasideModel(), poll_interval=1e-9)
     with deadline(10):
-        report = run_lookaside_bulk(_ops(3), model, depth=1)
+        report = run_lookaside_bulk(_ops(3), model, outcomes_of(_ops(3)), depth=1)
     assert "drain_shortfall" in report.failure
     assert report.enq_count != report.deq_count
     assert report.outcomes == []

@@ -26,9 +26,11 @@ from decodex.backends import (
     run_lookaside_sequential,
 )
 from decodex.phy import generate_cell_vectors
+from helpers import outcomes_of
 
 N_MAX = 8
 _OPS = [d for v in generate_cell_vectors(0, 2, 30.0, N_MAX, seed=5) for d in v.descriptors]
+_OUTS = outcomes_of(_OPS)  # one code block per op: _OUTS[:n] belongs to _OPS[:n]
 
 _us = st.floats(0.0, 50.0)
 
@@ -67,8 +69,8 @@ def _finite_non_negative(*values):
 @given(lookaside_models(), st.integers(0, N_MAX - 1), st.integers(1, N_MAX))
 def test_lookaside_runs_are_finite_conserved_and_monotone(model, n, depth):
     runs = [
-        lambda ops: run_lookaside_sequential(ops, model),
-        lambda ops: run_lookaside_bulk(ops, model, depth=depth),
+        lambda ops: run_lookaside_sequential(ops, model, _OUTS[: len(ops)]),
+        lambda ops: run_lookaside_bulk(ops, model, _OUTS[: len(ops)], depth=depth),
     ]
     for run in runs:
         fewer, more = run(_OPS[:n]), run(_OPS[: n + 1])
@@ -91,8 +93,8 @@ def _report_fields(report):
 @settings(max_examples=30, deadline=None)
 @given(lookaside_models(), st.integers(0, N_MAX))
 def test_sequential_lookaside_is_the_bulk_queue_at_depth_one(model, n):
-    sequential = run_lookaside_sequential(_OPS[:n], model)
-    bulk = run_lookaside_bulk(_OPS[:n], model, depth=1)
+    sequential = run_lookaside_sequential(_OPS[:n], model, _OUTS[:n])
+    bulk = run_lookaside_bulk(_OPS[:n], model, _OUTS[:n], depth=1)
     assert _report_fields(sequential) == _report_fields(bulk)
 
 
@@ -119,7 +121,11 @@ def _timing(kind, model):
         report = lookaside_bulk_report(_OPS[:4], model, depth=2)
         return report.total_us, report.tb_latency_us
     loads = ([[d] for d in _OPS[:3]], [[_OPS[0]]])
-    runs = (inline_parallel_report, inline_decode_sequential)
+
+    def sequential(batches, model):
+        return inline_decode_sequential(batches, model, _OUTS[: len(batches)])
+
+    runs = (inline_parallel_report, sequential)
     return [(r.total_us, r.utilization) for r in (run(b, model) for run in runs for b in loads)]
 
 
