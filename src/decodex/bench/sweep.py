@@ -53,6 +53,8 @@ class SweepConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.max_iterations <= MAX_ITERATIONS:
             raise ValueError(f"max_iterations must be in [1, {MAX_ITERATIONS}]")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         for mcs in self.mcs_set:
             mcs_lookup(mcs)
         if min(self.prb_set) < 1:

@@ -1,7 +1,13 @@
 """Thread-of-execution semantics of the CPU worker-pool backend."""
 
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -56,9 +62,10 @@ def test_failed_blocks_do_not_abort_the_batch():
 def test_multi_worker_speedup_on_identical_tbs():
     """TB-per-worker parallelism beats one worker on the same batch.
 
-    The host's speed drifts, and the multi-worker time includes the pool's
-    start-up.  So after one warm-up of each mode, each mode keeps its fastest
-    time over 3 interleaved rounds that alternate which mode runs first.
+    The host's speed drifts.  So after one warm-up of each mode, which also
+    forks the pool that the timed multi-worker calls reuse, each mode keeps
+    its fastest time over 3 interleaved rounds that alternate which mode runs
+    first.
     """
     descs = _descriptors(8, mcs=9, prb=100, snr_db=2.0, seed=9)
     workers = min(8, os.cpu_count())
@@ -74,3 +81,54 @@ def test_multi_worker_speedup_on_identical_tbs():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         cpu_decode_batch(_descriptors(1), workers=0)
+
+
+def _same_outcomes(got, want):
+    return [(o.tb_id, o.cb_id, o.bits.tobytes(), o.iterations_used) for o in got] == [
+        (o.tb_id, o.cb_id, o.bits.tobytes(), o.iterations_used) for o in want]
+
+
+def test_pool_is_rebuilt_after_a_worker_dies():
+    """A killed worker breaks the pool: one call fails, and the call after it
+    decodes on a new pool."""
+    descs = _descriptors(2)
+    want = cpu_decode_batch(descs, workers=1).outcomes
+    cpu_decode_batch(descs, workers=2)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+    for _ in range(3):  # the pool notices the death on its own thread, after a call maybe
+        try:
+            assert _same_outcomes(cpu_decode_batch(descs, workers=2).outcomes, want)
+        except BrokenProcessPool:
+            break
+    else:
+        pytest.fail("the pool never noticed its dead worker")
+    assert _same_outcomes(cpu_decode_batch(descs, workers=2).outcomes, want)
+
+
+def _decode_in_child(descs, want):
+    signal.alarm(20)  # a child that reached the parent's pool would wait for ever
+    sys.exit(0 if _same_outcomes(cpu_decode_batch(descs, workers=2).outcomes, want) else 1)
+
+
+def test_forked_child_decodes_on_its_own_pool():
+    descs = _descriptors(2)
+    want = cpu_decode_batch(descs, workers=1).outcomes
+    cpu_decode_batch(descs, workers=2)  # the parent's pool exists when the child forks
+    child = multiprocessing.get_context("fork").Process(target=_decode_in_child,
+                                                        args=(descs, want))
+    child.start()
+    child.join(30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_process_with_a_pool_exits():
+    code = ("from decodex.backends import cpu_decode_batch\n"
+            "from decodex.phy import generate_cell_vectors\n"
+            "vecs = generate_cell_vectors(4, 10, 8.0, 2, 5)\n"
+            "cpu_decode_batch([d for v in vecs for d in v.descriptors], workers=2)\n")
+    assert subprocess.run([sys.executable, "-c", code], timeout=30).returncode == 0

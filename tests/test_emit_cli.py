@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from decodex.bench import parse_csv, render_csv, render_json, run_cell
+from decodex.bench import parse_csv, render_csv, render_json, run_cell, sweep
 from decodex.bench.cli import main
 from decodex.bench.emit import CSV_HEADER, emit
 
@@ -80,10 +80,15 @@ def test_cli_sweep_csv(tmp_path):
     assert len(lines) == 2
 
 
-def test_cli_sweep_exit_code_2_on_cell_failure(tmp_path):
+def _fail_generation(*_, **__):
+    raise RuntimeError("vector generation failed")
+
+
+def test_cli_sweep_exit_code_2_on_cell_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "generate_cell_vectors", _fail_generation)
     cfg = _write_config(
         tmp_path / "cfg.ini",
-        "[sweep]\nbackends = cpu\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb = 1\nworkers = -5\n",
+        "[sweep]\nbackends = cpu\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb = 1\n",
     )
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -134,11 +139,13 @@ _TINY_SWEEP = "[sweep]\nbackends = lookaside\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb
         _TINY_SWEEP + "max_iterations = 0\n",
         _TINY_SWEEP.replace("mcs = 0", "mcs = 40"),
         _TINY_SWEEP.replace("prb = 5", "prb = 0"),
+        _TINY_SWEEP + "workers = -5\n",
         _TINY_SWEEP + "[model.inline]\nop_service = 500\n",
     ],
     ids=["unknown-key", "unknown-section", "models-key", "repeated-key",
          "repeated-section", "default-section", "no-section-header", "negative-seed",
-         "zero-max-iterations", "unknown-mcs", "zero-prb", "key-of-other-device"],
+         "zero-max-iterations", "unknown-mcs", "zero-prb", "negative-workers",
+         "key-of-other-device"],
 )
 def test_cli_config_mistakes_are_configuration_errors(tmp_path, capsys, body):
     cfg = _write_config(tmp_path / "cfg.ini", body)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodex.phy import ChannelConfig, LLR_QUANT_GAIN, demap_llr, modulate, transmit
-from decodex.phy.modem import constellation
+from decodex.phy.modem import _axis_levels, _reference_demap, constellation
 
 
 def test_qpsk_reference_points():
@@ -94,3 +94,45 @@ def test_demap_inverts_modulate_noise_free(word, qm):
 def test_sigma2_must_be_positive():
     with pytest.raises(ValueError):
         demap_llr(np.array([1 + 1j]), 2, 0.0)
+
+
+@pytest.mark.parametrize("qm", [2, 4])
+def test_nan_sigma2_is_an_error(qm):
+    """NaN passes a sigma2 <= 0 check and gave all-zero LLRs; both search
+    paths (QPSK, and per axis) reject it."""
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        demap_llr(np.array([1 + 1j]), qm, math.nan)
+
+
+def _hard_coordinates(levels):
+    """One axis's coordinate: on a level, on a decision boundary (midway
+    between levels, or 0), next to either, far out, or plain."""
+    ordered = np.sort(levels)
+    special = [float(v) for v in (*ordered, *(ordered[1:] + ordered[:-1]) / 2, 0.0)]
+    return st.one_of(
+        st.sampled_from(special),
+        st.tuples(st.sampled_from(special), st.floats(-1e-12, 1e-12)).map(sum),
+        st.floats(-1e150, 1e150),
+        st.floats(-2.0, 2.0),
+    )
+
+
+def _hard_symbols(qm):
+    levels = _axis_levels(qm)
+    symbol = st.builds(complex, _hard_coordinates(levels[0]), _hard_coordinates(levels[1]))
+    return st.tuples(st.just(qm), st.lists(symbol, max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(_hard_symbols),
+       st.one_of(st.sampled_from([5e-324, 1e-300, 1e300]), st.floats(5e-324, 1e300)))
+def test_per_axis_demap_equals_the_full_search(case, sigma2):
+    """The int8 LLRs equal the full search's, also where the per-axis minimum
+    could round differently: on boundaries, at |y| up to 1e150, and at
+    sigma2 from the smallest double to 1e300."""
+    qm, symbols = case
+    symbols = np.array(symbols)
+    # The tiniest sigma2 scales to inf, which saturates, or 0 * inf on a boundary
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = demap_llr(symbols, qm, sigma2), _reference_demap(symbols, qm, sigma2)
+    assert np.array_equal(got, want)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from decodex.backends import InlineModel, LookasideModel
-from decodex.bench import SweepConfig, run_cell, run_sweep
+from decodex.bench import SweepConfig, run_cell, run_sweep, sweep
 
 
 def test_record_count_is_the_cell_product():
@@ -81,10 +81,14 @@ def test_record_invariants():
     assert rec.mean_iterations <= 20
 
 
-def test_failing_cell_still_emits_a_record():
+def _fail_generation(*_, **__):
+    raise RuntimeError("vector generation failed")
+
+
+def test_failing_cell_still_emits_a_record(monkeypatch):
+    monkeypatch.setattr(sweep, "generate_cell_vectors", _fail_generation)
     config = SweepConfig(
-        backends=("cpu",), mcs_set=(4,), snr_grid_db=(8.0,), prb_set=(10,),
-        n_tb=1, seed=5, workers=-1,  # invalid worker count trips inside the cell
+        backends=("cpu",), mcs_set=(4,), snr_grid_db=(8.0,), prb_set=(10,), n_tb=1, seed=5,
     )
     records = run_sweep(config)
     assert len(records) == 1
@@ -113,6 +117,8 @@ def test_config_validation():
         SweepConfig(mcs_set=(4, 40))
     with pytest.raises(ValueError):
         SweepConfig(prb_set=(50, 0))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        SweepConfig(workers=0)
     with pytest.raises(ValueError, match="lookaside takes no InlineModel"):
         SweepConfig(backends=("lookaside",), models={"lookaside": InlineModel()})
 
