@@ -53,11 +53,15 @@ def inline_timing_sequential(
     codeword_counts: list[int], model: InlineModel, transfer_us: list[float] | None = None
 ) -> InlineTiming:
     """Pure timing of per-TB launches, back to back; ``transfer_us`` gives
-    each launch's transfer time.  Utilization is the mean per-launch slot
-    footprint over capacity."""
+    each launch's transfer time, one per launch.  Utilization is the mean
+    per-launch slot footprint over capacity."""
+    if transfer_us is None:
+        transfer_us = [0.0] * len(codeword_counts)
+    elif len(transfer_us) != len(codeword_counts):
+        raise ValueError(f"transfer_us has {len(transfer_us)} entries for "
+                         f"{len(codeword_counts)} launches")
     if not codeword_counts:
         return InlineTiming(kernel_us=0.0, total_us=0.0, utilization=0.0)
-    transfer_us = transfer_us or [0.0] * len(codeword_counts)
     tb_us = tuple(t + _launch_time(c, model) for c, t in zip(codeword_counts, transfer_us))
     total = 0.0
     for i, t in enumerate(tb_us):

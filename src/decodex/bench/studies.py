@@ -167,6 +167,8 @@ def run_iteration_study(
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    if not all(rate > 0 for rate in rate_list):
+        raise ConfigurationError(f"code rates must be positive, got {list(rate_list)}")
     cases = []
     for k in k_list:
         for rate in rate_list:

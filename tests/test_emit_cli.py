@@ -211,8 +211,9 @@ def test_cli_studies_to_stdout(capsys):
 
 
 def test_cli_study_input_error_exit_code(capsys):
-    assert main(["bulk-study", "--n-ops", "0"]) == 1
-    assert capsys.readouterr().err.startswith("configuration error:")
+    for argv in (["bulk-study", "--n-ops", "0"], ["iter-study", "--rates", "0"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_console_script_installed():
