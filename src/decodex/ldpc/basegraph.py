@@ -48,7 +48,7 @@ LIFTING_SETS = (
 _SET_INDEX = {z: i for i, sizes in enumerate(LIFTING_SETS) for z in sizes}
 ALL_LIFTING_SIZES = tuple(sorted(_SET_INDEX))
 
-# Largest base-row degree the compiled decoder's per-lane scratch holds
+# Largest base-row degree the compiled decoder's per-call scratch holds
 # (BG1 peaks at 19); expansion rejects a graph with a denser row.
 MAX_ROW_DEGREE = 32
 

@@ -1,11 +1,12 @@
 """Layered normalized min-sum decoding with early termination.
 
 Soft values cross the interface as saturating signed 8-bit LLRs (positive
-means bit 0 is more likely).  Inside the decoder, posterior accumulators are
-kept in int32 and the check-to-variable messages are re-saturated to
-[-127, 127] on write-back, mirroring fixed-point accelerator behaviour.
-The sweeps run in a compiled C kernel (minsum.c, loaded by kernel.py); the
-numpy loop kept here is its reference and the fallback without a compiler.
+means bit 0 is more likely).  Inside the decoder the check-to-variable
+messages are re-saturated to [-127, 127] on write-back, mirroring
+fixed-point accelerator behaviour.  The sweeps run in a compiled C kernel
+(minsum.c, loaded by kernel.py) that works edge-major on int16 lanes; the
+numpy loop kept here, on int32 arrays, is its reference and the fallback
+without a compiler.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def decode_layered_minsum(
     system has a C compiler, else in the numpy reference; both give the same
     bits and statistics.
 
-    LLRs must be integers in the int8 range: the int32 posteriors then stay
-    within 127 * (1 + column degree), far from overflow.
+    LLRs must be integers in the int8 range: the posteriors then stay
+    within 128 + 127 * (column degree), inside the kernel's int16 lanes.
     """
     llr = np.asarray(llr)
     if llr.shape != (params.n_full,):
@@ -86,7 +87,7 @@ def decode_layered_minsum(
 def _compiled_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
     """The sweeps of ``decode_layered_minsum`` in minsum.c; updates ``app``
     in place and returns (iterations_used, converged)."""
-    c2v = np.zeros(len(pcm.edges) * pcm.zc, dtype=np.int32)
+    c2v = np.zeros(len(pcm.edges) * pcm.zc, dtype=np.int16)
     converged = ctypes.c_int()
     iterations = minsum_kernel()(
         app, c2v, pcm.edges, pcm.degrees, pcm.base_rows, pcm.zc,

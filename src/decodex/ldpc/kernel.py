@@ -24,12 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .basegraph import MAX_ROW_DEGREE
+from .basegraph import ALL_LIFTING_SIZES, MAX_ROW_DEGREE
 
 log = logging.getLogger(__name__)
 
-# No -march=native: a cached build must run on any host of the architecture.
-CFLAGS = ("-O2", "-shared", "-fPIC", f"-DMAX_DEGREE={MAX_ROW_DEGREE}")
+# -O3: the kernel's loops run over the zc lanes, a run-time trip count, and
+# gcc 12's -O2 cost model does not vectorize such loops.  No -march=native: a
+# cached build must run on any host of the architecture, so x86-64 gets SSE2.
+CFLAGS = ("-O3", "-shared", "-fPIC", f"-DMAX_DEGREE={MAX_ROW_DEGREE}",
+          f"-DMAX_ZC={max(ALL_LIFTING_SIZES)}")
 CACHE_DIR = Path(__file__).resolve().parent / "_build"
 
 
@@ -72,6 +75,7 @@ def minsum_kernel():
                     "the numpy reference", exc)
         return None
     i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")  # checks dtype and layout
-    fn.argtypes = [i32] * 4 + [ctypes.c_int] * 5 + [ctypes.POINTER(ctypes.c_int)]
+    i16 = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
+    fn.argtypes = [i32, i16, i32, i32] + [ctypes.c_int] * 5 + [ctypes.POINTER(ctypes.c_int)]
     fn.restype = ctypes.c_int
     return fn

@@ -1,83 +1,138 @@
 /* Layered normalized min-sum decoding of a lifted quasi-cyclic LDPC code.
  *
- * The compiled twin of the numpy reference in decode.py, bit for bit: int32
- * posteriors, check-to-variable messages scaled by norm_q12 / 4096 and
- * saturated to +-LLR_MAX, and a syndrome check of the hard decision after
- * each sweep over the layers.
+ * The compiled twin of the numpy reference in decode.py, bit for bit:
+ * check-to-variable messages scaled by norm_q12 / 4096 and saturated to
+ * +-LLR_MAX, and a syndrome check of the hard decision after each sweep over
+ * the layers.
  *
- * Entry e of `edges` is the pair (col * zc, shift): lane j of that circulant
- * is codeword position col * zc + (j + shift) % zc.  Layer l owns degrees[l]
- * consecutive entries, and c2v holds its zc * degrees[l] messages lane-major.
- * Build with -DMAX_DEGREE=<largest layer degree>.
+ * The loops run edge-major: every inner loop walks the zc lanes of one
+ * circulant, so gcc vectorizes them (at -O3) with SSE2.  Entry e of `edges`
+ * is the pair (col * zc, shift): lane j of that circulant is codeword
+ * position col * zc + (j + shift) % zc, that is the contiguous runs
+ * [shift, zc) and then [0, shift) of its block-column.  Layer l owns
+ * degrees[l] consecutive entries, and c2v holds its degrees[l] * zc messages
+ * edge-major.  A layer's circulants share no column, so gathering the whole
+ * layer before scattering it back is the same as updating lane by lane.
+ *
+ * Lanes, the per-call scratch and c2v are int16, which is exact: with int8
+ * channel LLRs a posterior stays within 128 + 127 * (column degree), below
+ * 2^15 for every bundled base graph.  The posteriors cross the interface as
+ * int32.  Build with -DMAX_DEGREE=<largest layer degree> and
+ * -DMAX_ZC=<largest lifting size>.
  */
 #include <stdint.h>
 
 #define LLR_MAX 127
 
-static inline int32_t position(const int32_t *edge, int32_t lane, int32_t zc)
+/* Subtracts the old messages m from the posteriors a into t, and folds t
+ * into the running per-lane two smallest magnitudes and the sign parity. */
+static inline void absorb(int16_t *restrict t, const int32_t *restrict a,
+                          const int16_t *restrict m, int16_t *restrict min1,
+                          int16_t *restrict min2, int16_t *restrict parity, int n)
 {
-    int32_t q = lane + edge[1];
-    return edge[0] + (q >= zc ? q - zc : q);
+    for (int j = 0; j < n; j++) {
+        int16_t v = (int16_t)(a[j] - m[j]);
+        int16_t mag = v < 0 ? -v : v;
+        int16_t lo = min1[j] > mag ? mag : min1[j];
+        int16_t hi = min1[j] > mag ? min1[j] : mag;
+        min2[j] = min2[j] < hi ? min2[j] : hi;
+        min1[j] = lo;
+        parity[j] ^= v;
+        t[j] = v;
+    }
 }
 
-static inline int32_t scaled(int32_t mag, int32_t norm_q12)
+/* Writes the new messages into m and the new posteriors into a. */
+static inline void emit(const int16_t *restrict t, int32_t *restrict a,
+                        int16_t *restrict m, const int16_t *restrict min1,
+                        const int16_t *restrict s1, const int16_t *restrict s2,
+                        const int16_t *restrict parity, int n)
 {
-    int64_t s = ((int64_t)mag * norm_q12) >> 12;
-    return s < LLR_MAX ? (int32_t)s : LLR_MAX;
+    for (int j = 0; j < n; j++) {
+        int16_t v = t[j], lo = min1[j], other = s2[j], s = s1[j];
+        int16_t mag = v < 0 ? -v : v;
+        s = mag == lo ? other : s;
+        s = (int16_t)(parity[j] ^ v) < 0 ? -s : s;
+        m[j] = s;
+        a[j] = v + s;
+    }
+}
+
+static inline int16_t scaled(int16_t mag, int32_t norm_q12)
+{
+    int32_t s = (mag * norm_q12) >> 12;
+    return s < LLR_MAX ? (int16_t)s : LLR_MAX;
 }
 
 static int syndrome_ok(const int32_t *app, const int32_t *edges,
                        const int32_t *degrees, int n_layers, int zc)
 {
-    for (int l = 0; l < n_layers; edges += 2 * degrees[l++])
-        for (int j = 0; j < zc; j++) {
-            int parity = 0;
-            for (int e = 0; e < degrees[l]; e++)
-                parity ^= app[position(edges + 2 * e, j, zc)] < 0;
-            if (parity)
-                return 0;
+    int32_t parity[MAX_ZC];
+
+    for (int l = 0; l < n_layers; edges += 2 * degrees[l++]) {
+        for (int j = 0; j < zc; j++)
+            parity[j] = 0;
+        for (int e = 0; e < degrees[l]; e++) {
+            const int32_t *a = app + edges[2 * e];
+            const int s = edges[2 * e + 1], n = zc - s;
+            for (int j = 0; j < n; j++)
+                parity[j] ^= a[s + j];
+            for (int j = 0; j < s; j++)
+                parity[n + j] ^= a[j];
         }
+        int32_t any = 0;
+        for (int j = 0; j < zc; j++)
+            any |= parity[j];
+        if (any < 0)
+            return 0;
+    }
     return 1;
 }
 
 /* Decodes in place: app holds the channel LLRs on entry and the posteriors
- * on return, c2v starts zeroed.  Returns the sweeps run and sets *converged. */
-int minsum_decode(int32_t *app, int32_t *c2v, const int32_t *edges,
+ * on return, c2v starts zeroed.  norm_q12 lies in [0, 4096].  Returns the
+ * sweeps run and sets *converged. */
+int minsum_decode(int32_t *app, int16_t *c2v, const int32_t *edges,
                   const int32_t *degrees, int n_layers, int zc,
                   int max_iterations, int norm_q12, int early_termination,
                   int *converged)
 {
-    int32_t pos[MAX_DEGREE], t[MAX_DEGREE];
+    int16_t t[MAX_DEGREE][MAX_ZC];
+    int16_t min1[MAX_ZC], min2[MAX_ZC], parity[MAX_ZC], s1[MAX_ZC], s2[MAX_ZC];
     int it = 0;
 
     *converged = 0;
     while (it < max_iterations) {
         const int32_t *edge = edges;
-        int32_t *msg = c2v;
+        int16_t *msg = c2v;
         for (int l = 0; l < n_layers; edge += 2 * degrees[l++]) {
             const int d = degrees[l];
-            for (int j = 0; j < zc; j++, msg += d) {
-                int32_t min1 = INT32_MAX, min2 = INT32_MAX;
-                int parity = 0;
-                for (int e = 0; e < d; e++) {
-                    pos[e] = position(edge + 2 * e, j, zc);
-                    t[e] = app[pos[e]] - msg[e];
-                    int32_t mag = t[e] < 0 ? -t[e] : t[e];
-                    min2 = mag < min1 ? min1 : (mag < min2 ? mag : min2);
-                    min1 = mag < min1 ? mag : min1;
-                    parity ^= t[e] < 0;
-                }
-                if (d == 1)
-                    min2 = min1;
-                const int32_t s1 = scaled(min1, norm_q12), s2 = scaled(min2, norm_q12);
-                for (int e = 0; e < d; e++) {
-                    int32_t mag = t[e] < 0 ? -t[e] : t[e];
-                    int32_t m = mag == min1 ? s2 : s1;
-                    m = parity ^ (t[e] < 0) ? -m : m;
-                    msg[e] = m;
-                    app[pos[e]] = t[e] + m;
-                }
+            for (int j = 0; j < zc; j++) {
+                min1[j] = min2[j] = INT16_MAX;
+                parity[j] = 0;
             }
+            for (int e = 0; e < d; e++) {
+                int32_t *a = app + edge[2 * e];
+                const int s = edge[2 * e + 1], n = zc - s;
+                int16_t *m = msg + e * zc;
+                absorb(t[e], a + s, m, min1, min2, parity, n);
+                absorb(t[e] + n, a, m + n, min1 + n, min2 + n, parity + n, s);
+            }
+            if (d == 1)
+                for (int j = 0; j < zc; j++)
+                    min2[j] = min1[j];
+            for (int j = 0; j < zc; j++) {
+                s1[j] = scaled(min1[j], norm_q12);
+                s2[j] = scaled(min2[j], norm_q12);
+            }
+            for (int e = 0; e < d; e++) {
+                int32_t *a = app + edge[2 * e];
+                const int s = edge[2 * e + 1], n = zc - s;
+                int16_t *m = msg + e * zc;
+                emit(t[e], a + s, m, min1, s1, s2, parity, n);
+                emit(t[e] + n, a, m + n, min1 + n, s1 + n, s2 + n, parity + n, s);
+            }
+            msg += d * zc;
         }
         it++;
         if (early_termination || it == max_iterations) {

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from decodex.backends import cpu_decode_batch
-from decodex.ldpc import decode_layered_minsum
+from decodex.ldpc import CodeBlockParams, decode_layered_minsum, encode
+from decodex.nr import DecodeDescriptor
 from decodex.phy import generate_cell_vectors
 
 
@@ -96,6 +97,30 @@ def test_multi_worker_decode_starts_no_process():
         assert _same_outcomes(cpu_decode_batch(descs, workers=2).outcomes, want)
     assert multiprocessing.active_children() == []
     assert threading.active_count() <= threads + 2
+
+
+def _mixed_descriptors(n_tb, seed=11):
+    """One-block TBs that alternate between BG1 zc=384 and BG2 zc=16, noisy
+    enough to take several iterations each."""
+    rng = np.random.default_rng(seed)
+    descs = []
+    for tb_id in range(n_tb):
+        params = CodeBlockParams(1, 384, 22) if tb_id % 2 == 0 else CodeBlockParams(2, 16, 10)
+        cw = encode(rng.integers(0, 2, params.k, dtype=np.uint8), params)
+        noisy = (1 - 2 * cw.astype(np.int32)) * 6 + rng.integers(-11, 12, params.n_full)
+        llr = np.clip(noisy, -128, 127).astype(np.int8)
+        descs.append(DecodeDescriptor(params, max_iterations=20, tb_id=tb_id, cb_id=0, llr=llr))
+    return descs
+
+
+def test_concurrent_kernel_calls_share_no_scratch():
+    """Two worker threads run the kernel at once on codes of different
+    shapes; scratch shared between them would corrupt both decodes."""
+    descs = _mixed_descriptors(16)
+    want = cpu_decode_batch(descs, workers=1).outcomes
+    assert len({o.iterations_used for o in want}) > 1
+    for _ in range(3):
+        assert _same_outcomes(cpu_decode_batch(descs, workers=2).outcomes, want)
 
 
 def _decode_in_child(descs, want):

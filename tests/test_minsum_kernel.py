@@ -74,6 +74,34 @@ def test_kernel_equals_the_numpy_reference(
     assert np.array_equal(compiled, reference)
 
 
+@needs_cc
+@pytest.mark.parametrize("bg", [1, 2])
+@pytest.mark.parametrize("pattern", ["all -128", "all +127", "alternating"])
+def test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern):
+    """Saturated inputs drive the posteriors furthest towards the int16
+    lanes' limits."""
+    params = _params(bg, 384)
+    pcm = expand_base_graph(params.bg, params.zc, params.set_index)
+    llr = {
+        "all -128": np.full(params.n_full, -128),
+        "all +127": np.full(params.n_full, 127),
+        "alternating": np.where(np.arange(params.n_full) % 2, -128, 127),
+    }[pattern].astype(np.int32)
+    compiled, reference = llr.copy(), llr.copy()
+    got = _compiled_sweeps(compiled, pcm, 40, 3072, False)
+    want = _reference_sweeps(reference, pcm, 40, 3072, False)
+    assert got == want
+    assert np.array_equal(compiled, reference)
+
+
+@pytest.mark.parametrize("bg", sorted(BG_DIMS))
+def test_posteriors_fit_the_kernel_int16_lanes(bg):
+    """A posterior is an int8 LLR plus one message of at most 127 per check
+    on its column, so the largest column degree bounds it."""
+    columns = [c for _, c in basegraph.get_base_graph(bg).entries]
+    assert 128 + 127 * max(columns.count(c) for c in set(columns)) < 2**15
+
+
 @pytest.mark.parametrize("failure", ["no-compiler", pytest.param("build-error", marks=needs_cc)])
 def test_decoding_falls_back_to_the_reference_with_one_warning(
     monkeypatch, tmp_path, caplog, failure
