@@ -153,19 +153,16 @@ def get_base_graph(bg_id: int) -> BaseGraph:
 
 @dataclass(frozen=True)
 class ParityCheckMatrix:
-    """Lifted parity-check matrix kept in layered (per-base-row) form.
-
-    ``gather`` is the numpy decoder's and the encoder's table: one array per
-    base row (layer), mapping its circulants into flat codeword indices so
-    that row ``e`` of ``flat[gather[layer][e]]`` equals the e-th circulant
-    applied to its block-column.  ``edges`` and ``degrees`` are the compiled
-    decoder's int32 form of the same graph: one ``(col * zc, shift)`` row per
-    circulant, layer after layer, and the number of circulants in each layer.
+    """Lifted parity-check matrix in layered (per-base-row) form, stored once
+    as its circulant list: ``edges`` holds one int32 ``(col * zc, shift)`` row
+    per circulant, layer after layer, and ``degrees`` the count per layer.
+    Lane ``j`` of a circulant checks codeword bit
+    ``col * zc + (shift + j) % zc``; ``lane_indices`` spells that out for the
+    numpy paths.
     """
 
     bg_id: int
     zc: int
-    gather: tuple[np.ndarray, ...] = field(repr=False)
     edges: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
 
@@ -181,11 +178,18 @@ class ParityCheckMatrix:
     def n_cols(self) -> int:
         return BG_DIMS[self.bg_id][1] * self.zc
 
+    def lane_indices(self) -> tuple[np.ndarray, ...]:
+        """Per layer, the ``(degree, zc)`` codeword indices of its circulants'
+        lanes: row ``e`` of ``flat[lanes[layer]]`` is the e-th circulant
+        applied to its block-column.  Built on each call, never stored."""
+        lanes = self.edges[:, :1] + (self.edges[:, 1:] + np.arange(self.zc)) % self.zc
+        return tuple(np.split(lanes, np.cumsum(self.degrees)[:-1]))
+
     def to_dense(self) -> np.ndarray:
         """Materialize H as a dense 0/1 uint8 matrix (tests and small codes)."""
         h = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
         lane = np.arange(self.zc)
-        for r, idx in enumerate(self.gather):
+        for r, idx in enumerate(self.lane_indices()):
             h[r * self.zc + lane, idx] ^= 1  # a layer's circulants share no column
         return h
 
@@ -201,26 +205,18 @@ def expand_base_graph(bg_id: int, zc: int, set_index: int) -> ParityCheckMatrix:
         raise ConfigurationError(f"zc={zc} does not belong to lifting set {set_index}")
     bg = get_base_graph(bg_id)
 
-    lane = np.arange(zc)
-    gather = []
-    edges = []
-    for r in range(bg.rows):
-        row_entries = sorted(
-            (c, s[set_index] % zc) for (rr, c), s in bg.entries.items() if rr == r
+    entries = sorted(bg.entries.items())  # by row, then column
+    degrees = np.bincount([r for (r, _), _ in entries], minlength=bg.rows)
+    over = degrees > MAX_ROW_DEGREE
+    if over.any():
+        r = over.argmax()
+        raise ConfigurationError(
+            f"BG{bg_id} row {r} has degree {degrees[r]}, "
+            f"above the decoder's limit of {MAX_ROW_DEGREE}"
         )
-        if len(row_entries) > MAX_ROW_DEGREE:
-            raise ConfigurationError(
-                f"BG{bg_id} row {r} has degree {len(row_entries)}, "
-                f"above the decoder's limit of {MAX_ROW_DEGREE}"
-            )
-        cols = np.array([c for c, _ in row_entries], dtype=np.int64)
-        shf = np.array([s for _, s in row_entries], dtype=np.int64)
-        gather.append(cols[:, None] * zc + (shf[:, None] + lane[None, :]) % zc)
-        edges += [(c * zc, s) for c, s in row_entries]
     return ParityCheckMatrix(
         bg_id=bg_id,
         zc=zc,
-        gather=tuple(gather),
-        edges=np.array(edges, dtype=np.int32),
-        degrees=np.array([idx.shape[0] for idx in gather], dtype=np.int32),
+        edges=np.array([(c * zc, s[set_index] % zc) for (_, c), s in entries], dtype=np.int32),
+        degrees=degrees.astype(np.int32),
     )

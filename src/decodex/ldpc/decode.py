@@ -22,7 +22,7 @@ from .params import CodeBlockParams
 
 LLR_MAX = 127
 NORM_FACTOR = 0.75  # min-sum check-to-variable scaling
-MAX_ITERATIONS = 2**31 - 1  # the kernel counts sweeps in a C int
+MAX_ITERATIONS = 255  # DPDK bbdev's uint8_t iter_max, the ACC100's largest cap
 DEFAULT_MAX_ITERATIONS = 20
 
 
@@ -40,11 +40,11 @@ def syndrome_check(pcm: ParityCheckMatrix, codeword: np.ndarray) -> bool:
     codeword = np.asarray(codeword)
     if codeword.shape != (pcm.n_cols,):
         raise ValueError(f"expected codeword of length {pcm.n_cols}, got {codeword.shape}")
-    bits = codeword.astype(np.int64, copy=False)
-    for idx in pcm.gather:
-        if (bits[idx].sum(axis=0) & 1).any():
-            return False
-    return True
+    return _parities_ok(pcm.lane_indices(), codeword.astype(np.int64, copy=False))
+
+
+def _parities_ok(lanes, bits) -> bool:
+    return not any((bits[idx].sum(axis=0) & 1).any() for idx in lanes)
 
 
 def decode_layered_minsum(
@@ -99,11 +99,12 @@ def _compiled_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
 def _reference_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
     """The numpy reference of ``_compiled_sweeps``, same contract: the oracle
     the tests hold the kernel to, and the decoder where no compiler is."""
-    c2v = [np.zeros(idx.shape, dtype=np.int32) for idx in pcm.gather]
+    lanes = pcm.lane_indices()
+    c2v = [np.zeros(idx.shape, dtype=np.int32) for idx in lanes]
     iterations = 0
     converged = False
     for _ in range(max_iterations):
-        for layer, idx in enumerate(pcm.gather):
+        for layer, idx in enumerate(lanes):
             t = app[idx] - c2v[layer]  # variable-to-check, check-aligned
             mag = np.abs(t)
             neg = t < 0
@@ -119,9 +120,9 @@ def _reference_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
             c2v[layer] = new_msgs
             app[idx] = t + new_msgs
         iterations += 1
-        if early_termination and syndrome_check(pcm, app < 0):
+        if early_termination and _parities_ok(lanes, app < 0):
             converged = True
             break
     if not early_termination:
-        converged = syndrome_check(pcm, app < 0)
+        converged = _parities_ok(lanes, app < 0)
     return iterations, converged

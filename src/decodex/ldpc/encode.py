@@ -1,14 +1,15 @@
-"""Systematic QC-LDPC encoding on the decoder's lifted parity-check matrix.
+"""Systematic QC-LDPC encoding on the decoder's circulant list.
 
-The first four base rows together with the first four parity block-columns
-form a double-diagonal core whose first column has odd-multiplicity shift q
-(Richardson & Urbanke 2001); summing the four core rows over GF(2) cancels
-everything else and leaves I(q) * p1 = sum of the systematic contributions,
-which pins p1.  Every other parity block is then the one unknown of some
-base row, solved in a fixed order (core back-substitution, then each
-extension row's diagonal): while the block is still zero, XOR-reducing the
-row's ``ParityCheckMatrix.gather`` rows gives the bits it must hold, which
-are scattered back through the same gather indices.
+The first four base rows and parity block-columns form a double-diagonal
+core whose first column has odd-multiplicity shift q (Richardson & Urbanke
+2001): summing the core rows leaves I(q) * p1 = the systematic part, which
+pins p1.  Back-substitution then solves the other core blocks row by row,
+and every extension row's diagonal block, an unshifted identity, at once.
+
+The codeword is held as block-columns written twice, ``(n_cols, 2 * zc)``,
+so the circulant ``(col, shift)`` of ``ParityCheckMatrix.edges`` applied to
+its block-column is the window ``[shift, shift + zc)`` of that row: the
+compiled decoder's two contiguous runs, in numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basegraph import BG_DIMS, ConfigurationError, expand_base_graph
 from .params import CodeBlockParams
@@ -29,48 +31,57 @@ N_CORE_PARITY = 4
 def _encoder_plan(bg_id: int, zc: int, set_index: int):
     """Check the encodable structure of a lifted graph and fix its solve order.
 
-    Returns p1's codeword indices and the (row, entry) of every other parity
-    block, in the order the encoder fills them.
+    Returns ``(cols, shifts, solved)`` steps: while the blocks ``solved`` are
+    zero, XOR-reducing ``windows[cols, shifts]`` over axis 1 gives them.
+    Shifts are relative to the circulant on the solved block; extension rows
+    are padded to one width with their own (zero) diagonal.
     """
     pcm = expand_base_graph(bg_id, zc, set_index)
+    cols = pcm.edges[:, 0] // zc
+    shifts = pcm.edges[:, 1]
+    bounds = np.concatenate(([0], np.cumsum(pcm.degrees)))
+    rows = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     core = range(BG_DIMS[bg_id][2], BG_DIMS[bg_id][2] + N_CORE_PARITY)
-    # Lane 0 of a circulant's gather row is col * zc + shift.
-    cols = [(idx[:, 0] // zc).tolist() for idx in pcm.gather]
 
-    first = {
-        (r, e): int(pcm.gather[r][e, 0] % zc)
-        for r in range(N_CORE_ROWS) for e, c in enumerate(cols[r]) if c == core.start
-    }
-    odd = [s for s, n in Counter(first.values()).items() if n % 2 == 1]
+    def step(row_edges, col, shift=0):  # solves block-columns col, col + 1, ...
+        edges = np.array(row_edges)
+        return cols[edges], (shifts[edges] - shift) % zc, slice(col, col + len(edges))
+
+    first = [shifts[e] for r in rows[:N_CORE_ROWS] for e in r if cols[e] == core.start]
+    odd = [s for s, n in Counter(first).items() if n % 2 == 1]
     if len(odd) != 1:
         raise ConfigurationError(
             f"BG{bg_id}: first parity column does not reduce to a single circulant"
         )
-    p1 = next(pcm.gather[r][e] for (r, e), s in first.items() if s == odd[0])
+    plan = [step([range(bounds[N_CORE_ROWS])], core.start, odd[0])]
 
     # Core parities by substitution: repeatedly take any core row with a
     # single unknown parity column left.
-    order = []
     solved = {core.start}
     while len(solved) < N_CORE_PARITY:
         progressed = False
-        for r in range(N_CORE_ROWS):
-            unknown = [e for e, c in enumerate(cols[r]) if c in core and c not in solved]
+        for r in rows[:N_CORE_ROWS]:
+            unknown = [e for e in r if cols[e] in core and cols[e] not in solved]
             if len(unknown) != 1:
                 continue
-            order.append((r, unknown[0]))
-            solved.add(cols[r][unknown[0]])
+            plan.append(step([r], cols[unknown[0]], shifts[unknown[0]]))
+            solved.add(cols[unknown[0]])
             progressed = True
         if not progressed:
             raise ConfigurationError(f"BG{bg_id}: core back-substitution stalled")
 
-    # Extension rows: each determines the parity block on its own diagonal.
-    for r in range(N_CORE_ROWS, pcm.base_rows):
-        ext = [e for e, c in enumerate(cols[r]) if c >= core.stop]
-        if [cols[r][e] for e in ext] != [core.stop + r - N_CORE_ROWS]:
-            raise ConfigurationError(f"BG{bg_id}: row {r} lacks its extension diagonal")
-        order.append((r, ext[0]))
-    return p1, tuple(order)
+    # Extension rows: each solves the block on its own diagonal, its last
+    # circulant, from the systematic and core blocks alone.
+    ext = rows[N_CORE_ROWS:]
+    for i, r in enumerate(ext):
+        if [(cols[e], shifts[e]) for e in r if cols[e] >= core.stop] != [(core.stop + i, 0)]:
+            raise ConfigurationError(
+                f"BG{bg_id}: row {N_CORE_ROWS + i} lacks its extension diagonal"
+            )
+    if ext:
+        width = max(len(r) for r in ext)
+        plan.append(step([[*r] + [r[-1]] * (width - len(r)) for r in ext], core.stop))
+    return tuple(plan)
 
 
 def encode(info_bits: np.ndarray, params: CodeBlockParams) -> np.ndarray:
@@ -83,15 +94,11 @@ def encode(info_bits: np.ndarray, params: CodeBlockParams) -> np.ndarray:
     if info_bits.ndim != 1 or len(info_bits) != params.k:
         raise ValueError(f"expected {params.k} info bits, got {len(info_bits)}")
 
-    p1, order = _encoder_plan(params.bg, params.zc, params.set_index)
-    gather = expand_base_graph(params.bg, params.zc, params.set_index).gather
-    cw = np.zeros(params.n_full, dtype=np.uint8)
-    cw[: params.k] = info_bits
-
-    agg = np.zeros(params.zc, dtype=np.uint8)
-    for idx in gather[:N_CORE_ROWS]:
-        agg ^= np.bitwise_xor.reduce(cw[idx], axis=0)
-    cw[p1] = agg
-    for r, e in order:
-        cw[gather[r][e]] = np.bitwise_xor.reduce(cw[gather[r]], axis=0)
-    return cw
+    zc = params.zc
+    blocks = np.zeros((BG_DIMS[params.bg][1], 2 * zc), dtype=np.uint8)
+    blocks[: params.kb, :zc] = blocks[: params.kb, zc:] = info_bits.reshape(params.kb, zc)
+    windows = sliding_window_view(blocks, zc, axis=1)  # [col, shift]: a circulant's output
+    for cols, shifts, solved in _encoder_plan(params.bg, zc, params.set_index):
+        bits = np.bitwise_xor.reduce(windows[cols, shifts], axis=1)
+        blocks[solved, :zc] = blocks[solved, zc:] = bits
+    return blocks[:, :zc].ravel()

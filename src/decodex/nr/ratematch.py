@@ -31,10 +31,7 @@ def rate_match(codeword: np.ndarray, params: CodeBlockParams) -> np.ndarray:
         raise ValueError(f"expected codeword of length {params.n_full}")
     if params.e <= 0:
         raise ConfigurationError("rate matching needs e > 0")
-    idx = buffer_indices(params)
-    if idx.size == 0:
-        raise ConfigurationError("empty circular buffer")
-    return codeword[idx[np.arange(params.e) % idx.size]]
+    return np.resize(codeword[buffer_indices(params)], params.e)
 
 
 def rate_dematch(llrs: np.ndarray, params: CodeBlockParams) -> np.ndarray:
@@ -47,8 +44,6 @@ def rate_dematch(llrs: np.ndarray, params: CodeBlockParams) -> np.ndarray:
     if llrs.shape != (params.e,):
         raise ValueError(f"expected {params.e} soft values, got {llrs.shape}")
     idx = buffer_indices(params)
-    if idx.size == 0:
-        raise ConfigurationError("empty circular buffer")
     out = np.zeros(params.n_full, dtype=np.int32)
     for start in range(0, params.e, idx.size):
         chunk = llrs[start:start + idx.size].astype(np.int32)

@@ -6,7 +6,16 @@ import itertools
 import numpy as np
 
 from decodex.backends import cpu_decode_batch
-from decodex.ldpc import CodeBlockParams, encode, expand_base_graph
+from decodex.ldpc import (
+    LIFTING_SETS,
+    CodeBlockParams,
+    encode,
+    get_base_graph,
+    set_index_for_zc,
+)
+
+# One small lifting size per set index: 2, 3, 5, 7, 9, 11, 13, 15.
+SMALLEST_PER_SET = tuple(sizes[0] for sizes in LIFTING_SETS)
 
 
 def crc_bit_serial(bits, poly: int) -> int:
@@ -45,10 +54,22 @@ def error_patterns(n: int, weight: int):
     return itertools.combinations(range(n), weight)
 
 
-def dense_syndrome_ok(bg: int, zc: int, set_index: int, codeword: np.ndarray) -> bool:
+def base_graph_h(bg: int, zc: int) -> np.ndarray:
+    """Dense H built straight from the bundled base-graph entries, one
+    ``np.roll(np.eye(zc), shift % zc, axis=1)`` block per entry: an oracle
+    that shares no code with the lifted graph's circulant list."""
+    graph = get_base_graph(bg)
+    set_index = set_index_for_zc(zc)
+    h = np.zeros((graph.rows * zc, graph.cols * zc), dtype=np.uint8)
+    for (r, c), shifts in graph.entries.items():
+        block = np.roll(np.eye(zc, dtype=np.uint8), shifts[set_index] % zc, axis=1)
+        h[r * zc:(r + 1) * zc, c * zc:(c + 1) * zc] = block
+    return h
+
+
+def dense_syndrome_ok(bg: int, zc: int, codeword: np.ndarray) -> bool:
     """Dense GF(2) matrix-vector oracle for the layered syndrome check."""
-    h = expand_base_graph(bg, zc, set_index).to_dense()
-    return int((h @ codeword % 2).sum()) == 0
+    return int((base_graph_h(bg, zc) @ codeword % 2).sum()) == 0
 
 
 def outcomes_of(descriptors):

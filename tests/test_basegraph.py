@@ -13,6 +13,8 @@ from decodex.ldpc import (
 )
 from decodex.ldpc.basegraph import STANDARD_ENTRY_COUNTS, _parse_bg_file
 
+from helpers import SMALLEST_PER_SET, base_graph_h
+
 
 def test_bundled_dims_and_counts():
     for bg_id, count in STANDARD_ENTRY_COUNTS.items():
@@ -55,6 +57,13 @@ def test_nonzero_blocks_are_shifted_identities():
                 assert (block.sum(axis=1) == 1).all()
             else:
                 assert not block.any()
+
+
+@pytest.mark.parametrize("bg_id", [0, 1, 2])
+@pytest.mark.parametrize("zc", SMALLEST_PER_SET)
+def test_dense_expansion_equals_the_base_graph_oracle(bg_id, zc):
+    pcm = expand_base_graph(bg_id, zc, set_index_for_zc(zc))
+    assert np.array_equal(pcm.to_dense(), base_graph_h(bg_id, zc))
 
 
 def test_zero_shift_is_identity_block():

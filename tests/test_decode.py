@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decodex.ldpc import (
+    MAX_ITERATIONS,
     CodeBlockParams,
     decode_layered_minsum,
     encode,
@@ -93,6 +94,15 @@ def test_preconditions_rejected():
         decode_layered_minsum(llr, params, max_iterations=0)
     with pytest.raises(ValueError):
         decode_layered_minsum(llr, params, max_iterations=2**32 + 1)  # a C int would wrap to 1
+
+
+def test_iteration_cap_is_bbdev_uint8_iter_max():
+    params = CodeBlockParams(2, 16, 10)
+    llr = np.full(params.n_full, 100, dtype=np.int8)  # the all-zero codeword
+    assert MAX_ITERATIONS == 255
+    assert decode_layered_minsum(llr, params, max_iterations=255).converged
+    with pytest.raises(ValueError, match=r"\[1, 255\]"):
+        decode_layered_minsum(llr, params, max_iterations=256)
 
 
 def test_toy_weight1_patterns_match_exhaustive_ml():

@@ -137,6 +137,7 @@ _TINY_SWEEP = "[sweep]\nbackends = lookaside\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb
         "n_tb = 3\n",
         _TINY_SWEEP + "seed = -1\n",
         _TINY_SWEEP + "max_iterations = 0\n",
+        _TINY_SWEEP + "max_iterations = 256\n",
         _TINY_SWEEP.replace("mcs = 0", "mcs = 40"),
         _TINY_SWEEP.replace("prb = 5", "prb = 0"),
         _TINY_SWEEP + "workers = -5\n",
@@ -144,8 +145,8 @@ _TINY_SWEEP = "[sweep]\nbackends = lookaside\nmcs = 0\nsnr_db = 8\nprb = 5\nn_tb
     ],
     ids=["unknown-key", "unknown-section", "models-key", "repeated-key",
          "repeated-section", "default-section", "no-section-header", "negative-seed",
-         "zero-max-iterations", "unknown-mcs", "zero-prb", "negative-workers",
-         "key-of-other-device"],
+         "zero-max-iterations", "max-iterations-above-cap", "unknown-mcs", "zero-prb",
+         "negative-workers", "key-of-other-device"],
 )
 def test_cli_config_mistakes_are_configuration_errors(tmp_path, capsys, body):
     cfg = _write_config(tmp_path / "cfg.ini", body)

@@ -17,7 +17,7 @@ from decodex.ldpc import (
 )
 from decodex.ldpc.encode import _encoder_plan
 
-from helpers import dense_syndrome_ok
+from helpers import SMALLEST_PER_SET, dense_syndrome_ok
 
 # Every lifting size of both standard graphs at full kb (among them BG1
 # zc=104, the shift-105 aggregate case, and BG2 zc=240, a set with unit
@@ -47,13 +47,44 @@ def test_random_info_satisfies_parity(bg, zc, set_index, kb):
     assert np.array_equal(cw[: params.k], info)
 
 
-@pytest.mark.parametrize("bg,zc,set_index,kb", [(1, 2, 0, 22), (2, 9, 4, 10), (0, 4, 0, 4)])
+@pytest.mark.parametrize("bg,zc,set_index,kb", list(dict.fromkeys(
+    [(1, 2, 0, 22), (2, 9, 4, 10), (0, 4, 0, 4)]
+    + [(bg, zc, i, BG_DIMS[bg][2]) for bg in (0, 1, 2) for i, zc in enumerate(SMALLEST_PER_SET)]
+)))
 def test_dense_matrix_oracle_agrees(bg, zc, set_index, kb):
     params = CodeBlockParams(bg, zc, kb)
     rng = np.random.default_rng(7)
     for _ in range(5):
         cw = encode(rng.integers(0, 2, params.k, dtype=np.uint8), params)
-        assert dense_syndrome_ok(bg, zc, set_index, cw)
+        assert dense_syndrome_ok(bg, zc, cw)
+
+
+def _held_bytes(*objs) -> int:
+    """Bytes of the distinct numpy buffers reachable from ``objs`` through
+    tuples and dataclass fields; a view counts as the array it views."""
+    buffers = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            buffers[id(x)] = x.nbytes
+        elif isinstance(x, tuple):
+            for item in x:
+                walk(item)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+
+    for obj in objs:
+        walk(obj)
+    return sum(buffers.values())
+
+
+def test_lifted_graph_and_encoder_plan_hold_no_per_lane_table():
+    """BG1 zc=384: one int64 index per lane would be about 1 MB."""
+    held = _held_bytes(expand_base_graph(1, 384, 1), _encoder_plan(1, 384, 1))
+    assert 0 < held < 16 * 1024
 
 
 def test_all_zero_info_gives_all_zero_codeword():
@@ -100,8 +131,9 @@ def test_encode_is_linear():
         ({(0, 10): (5,) * 8}, (), "does not reduce to a single circulant"),
         ({(0, 12): (0,) * 8, (3, 11): (0,) * 8}, (), "core back-substitution stalled"),
         ({}, ((10, 20),), "row 10 lacks its extension diagonal"),
+        ({(10, 20): (1,) * 8}, (), "row 10 lacks its extension diagonal"),
     ],
-    ids=["first-column", "core-stall", "extension-diagonal"],
+    ids=["first-column", "core-stall", "extension-diagonal", "shifted-extension-diagonal"],
 )
 def test_unencodable_base_graph_is_rejected(monkeypatch, added, removed, message):
     graphs = basegraph._bundled_graphs()

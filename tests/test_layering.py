@@ -5,14 +5,12 @@ only when that package sits on a lower layer (phy and backends share one and
 do not import each other), and only through the package itself
 (``from ..nr import X``), never one of its submodules
 (``from ..nr.pipeline import X``): each package's ``__init__`` is its API.
-The scripts in ``scripts/`` likewise import decodex through its packages.
 """
 
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "decodex"
+SRC = Path(__file__).resolve().parent.parent / "src" / "decodex"
 LAYER = {"ldpc": 0, "nr": 1, "phy": 2, "backends": 2, "bench": 3}
 
 
@@ -54,16 +52,4 @@ def layering_findings(src: Path = SRC) -> tuple[list[str], int]:
 def test_packages_import_lower_layers_through_their_package():
     findings, checked = layering_findings()
     assert checked > 0
-    assert findings == []
-
-
-def test_scripts_import_decodex_through_its_packages():
-    scripts = sorted((ROOT / "scripts").glob("*.py"))
-    assert scripts
-    findings = [
-        f"scripts/{path.name}:{line} imports {module}: a submodule, not the package"
-        for path in scripts
-        for line, module in _imports(path)
-        if module.startswith("decodex.") and module.count(".") > 1
-    ]
     assert findings == []

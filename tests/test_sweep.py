@@ -113,6 +113,9 @@ def test_config_validation():
         SweepConfig(seed=-1)
     with pytest.raises(ValueError):
         SweepConfig(max_iterations=0)
+    assert SweepConfig(max_iterations=255).max_iterations == 255
+    with pytest.raises(ValueError, match=r"\[1, 255\]"):
+        SweepConfig(max_iterations=256)
     with pytest.raises(ValueError):
         SweepConfig(mcs_set=(4, 40))
     with pytest.raises(ValueError):
