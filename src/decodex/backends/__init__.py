@@ -1,13 +1,16 @@
 """Decode backends as functions of descriptor lists.
 
 Functional decoding happens once, in cpu.decode_outcomes, so decoded bits
-and iteration counts are identical across backends.  cpu_decode_batch
-decodes a batch on a worker pool and times it on the wall clock.  The
-lookaside and inline models are virtual-clock timing functions of descriptor
-shapes plus a LookasideModel or an InlineModel: lookaside_bulk_report and
+and iteration counts are identical across backends.  Every call returns a
+BackendReport, a frozen value that the clock timing the call builds once.
+cpu_decode_batch decodes a batch on a worker pool, times it on the wall
+clock and gives its outcomes in (tb_id, cb_id) order.  The lookaside and
+inline models are virtual-clock timing functions of descriptor shapes plus a
+LookasideModel or an InlineModel: lookaside_bulk_report and
 inline_parallel_report give the timing report alone, and the runners
 (run_lookaside_*, inline_decode_*) attach the caller's outcomes of the ops
-they delivered; no runner decodes, and perfbench hooks their names.
+they delivered, in the caller's order; no runner decodes, and perfbench
+hooks their names.
 """
 
 from __future__ import annotations

@@ -36,16 +36,8 @@ def decode_outcomes(descriptors: list[DecodeDescriptor]) -> list[DecodeOutcome]:
     for d in descriptors:
         if d.llr is None:
             raise ValueError("descriptor has no LLR input")
-        res = decode_layered_minsum(d.llr, d.cb_params, max_iterations=d.max_iterations)
-        outcomes.append(
-            DecodeOutcome(
-                tb_id=d.tb_id,
-                cb_id=d.cb_id,
-                bits=res.bits,
-                iterations_used=res.iterations_used,
-                converged=res.converged,
-            )
-        )
+        r = decode_layered_minsum(d.llr, d.cb_params, max_iterations=d.max_iterations)
+        outcomes.append(DecodeOutcome(d.tb_id, d.cb_id, r.bits, r.iterations_used, r.converged))
     outcomes.sort(key=lambda o: (o.tb_id, o.cb_id))
     return outcomes
 
@@ -99,8 +91,9 @@ def _shared_pool(workers: int) -> ThreadPoolExecutor:
 def cpu_decode_batch(descriptors: list[DecodeDescriptor], workers: int = 1) -> BackendReport:
     """Decode a batch on ``workers`` threads, one TB per task.
 
-    Per-CB decode failures surface as converged=False outcomes; the batch
-    never aborts.
+    The outcomes come back in (tb_id, cb_id) order, whatever the order of
+    ``descriptors``.  Per-CB decode failures surface as converged=False
+    outcomes; the batch never aborts.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -111,11 +104,11 @@ def cpu_decode_batch(descriptors: list[DecodeDescriptor], workers: int = 1) -> B
 
     minsum_kernel()  # load (or build) it before the clock starts
     pool = _shared_pool(workers) if workers > 1 and len(tasks) > 1 else None
-    report = BackendReport(clock_type="wall")
     batch_start = time.perf_counter()
     results = [_decode_tb(t) for t in tasks] if pool is None else list(pool.map(_decode_tb, tasks))
-    report.total_us = (time.perf_counter() - batch_start) * 1e6
-    for tb_id, latency_us, outcomes in results:
-        report.tb_latency_us[tb_id] = latency_us
-        report.outcomes.extend(outcomes)
-    return report
+    return BackendReport(
+        clock_type="wall",
+        total_us=(time.perf_counter() - batch_start) * 1e6,
+        tb_latency_us={tb_id: us for tb_id, us, _ in results},
+        outcomes=[o for _, _, outcomes in results for o in outcomes],
+    )

@@ -96,10 +96,12 @@ def inline_timing_parallel(
     )
 
 
-def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming) -> BackendReport:
+def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming,
+            outcomes: list[DecodeOutcome]) -> BackendReport:
     return BackendReport(
         clock_type="virtual",
         tb_latency_us={batch[0].tb_id: us for batch, us in zip(tb_batches, timing.tb_us)},
+        outcomes=list(outcomes),
         total_us=timing.total_us,
         utilization=timing.utilization,
     )
@@ -108,10 +110,8 @@ def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming) -> B
 def inline_parallel_report(
     tb_batches: list[list[DecodeDescriptor]], model: InlineModel
 ) -> BackendReport:
-    """Timing of a single launch over all codewords after one aggregate transfer."""
-    counts = [len(b) for b in tb_batches]
-    transfer = _transfer_time([d for b in tb_batches for d in b], model)
-    return _report(tb_batches, inline_timing_parallel(counts, model, transfer))
+    """The timing alone of inline_decode_parallel: one launch, one transfer."""
+    return inline_decode_parallel(tb_batches, model, [])
 
 
 def inline_decode_sequential(
@@ -120,15 +120,14 @@ def inline_decode_sequential(
     """One launch per TB, back to back, each TB transferred separately."""
     counts = [len(b) for b in tb_batches]
     transfers = [_transfer_time(b, model) for b in tb_batches]
-    report = _report(tb_batches, inline_timing_sequential(counts, model, transfers))
-    report.outcomes = list(outcomes)
-    return report
+    return _report(tb_batches, inline_timing_sequential(counts, model, transfers), outcomes)
 
 
 def inline_decode_parallel(
     tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: list[DecodeOutcome]
 ) -> BackendReport:
-    """inline_parallel_report with the caller's ``outcomes`` attached."""
-    report = inline_parallel_report(tb_batches, model)
-    report.outcomes = list(outcomes)
-    return report
+    """One launch over all codewords after one aggregate transfer, with the
+    caller's ``outcomes`` attached."""
+    counts = [len(b) for b in tb_batches]
+    transfer = _transfer_time([d for b in tb_batches for d in b], model)
+    return _report(tb_batches, inline_timing_parallel(counts, model, transfer), outcomes)

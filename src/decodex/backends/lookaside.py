@@ -18,7 +18,7 @@ nothing; they attach the caller's outcomes of the ops the drain delivered.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
@@ -79,22 +79,20 @@ def lookaside_dequeue(
 
 
 def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> BackendReport:
-    report = BackendReport(
+    # FIFO order: a TB's first op was enqueued first and its last op dequeued last.
+    first_submit: dict[int, float] = {}
+    for desc, t_enq, _ in completed:
+        first_submit.setdefault(desc.tb_id, t_enq)
+    failure = (f"drain_shortfall: enq={q.enq_count} deq={q.deq_count} after {retries} retries"
+               if q.enq_count != q.deq_count else None)
+    return BackendReport(
         clock_type="virtual",
+        tb_latency_us={d.tb_id: t_deq - first_submit[d.tb_id] for d, _, t_deq in completed},
         total_us=clock,
         enq_count=q.enq_count,
         deq_count=q.deq_count,
+        failure=failure,
     )
-    # FIFO order: a TB's first op was enqueued first and its last op dequeued last.
-    first_submit: dict[int, float] = {}
-    for desc, t_enq, t_deq in completed:
-        first_submit.setdefault(desc.tb_id, t_enq)
-        report.tb_latency_us[desc.tb_id] = t_deq - first_submit[desc.tb_id]
-    if q.enq_count != q.deq_count:
-        report.failure = (
-            f"drain_shortfall: enq={q.enq_count} deq={q.deq_count} after {retries} retries"
-        )
-    return report
 
 
 def _wait(q: QueuePair, target: int, clock: float, retries: int, completed: list) -> float:
@@ -150,8 +148,7 @@ def run_lookaside_bulk(
     """lookaside_bulk_report with the caller's ``outcomes`` (in descriptor
     order) of the delivered ops: a drain shortfall delivers the first deq_count."""
     report = lookaside_bulk_report(descriptors, model, depth, max_drain_retries)
-    report.outcomes = outcomes[: report.deq_count]
-    return report
+    return replace(report, outcomes=outcomes[: report.deq_count])
 
 
 def run_lookaside_sequential(

@@ -1,4 +1,4 @@
-"""Uniform result container for all decode backends."""
+"""Uniform result values for all decode backends."""
 
 from __future__ import annotations
 
@@ -18,15 +18,17 @@ class DecodeOutcome:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendReport:
-    """Per-TB latency plus functional outcomes and backend counters.
+    """Per-TB latency plus functional outcomes and backend counters, built
+    once by the clock that timed the call.
 
     clock_type is "wall" for the real CPU pool and "virtual" for the
-    simulated accelerators.  enq/deq counters apply to the lookaside queue
-    (conserved: equal after a successful drain); utilization applies to the
-    inline launch models; failure carries an explicit error state such as a
-    drain shortfall instead of raising.
+    simulated accelerators.  outcomes come in (tb_id, cb_id) order.  enq/deq
+    counters apply to the lookaside queue (conserved: equal after a
+    successful drain); utilization applies to the inline launch models;
+    failure carries an explicit error state such as a drain shortfall
+    instead of raising.
     """
 
     clock_type: str
@@ -40,10 +42,7 @@ class BackendReport:
 
     def bits_by_tb(self) -> dict[int, list[np.ndarray]]:
         """Decoded CB bit blocks grouped by TB, in cb_id order."""
-        grouped: dict[int, list[DecodeOutcome]] = {}
+        grouped: dict[int, list[np.ndarray]] = {}
         for o in self.outcomes:
-            grouped.setdefault(o.tb_id, []).append(o)
-        return {
-            tb: [o.bits for o in sorted(v, key=lambda o: o.cb_id)]
-            for tb, v in grouped.items()
-        }
+            grouped.setdefault(o.tb_id, []).append(o.bits)
+        return grouped

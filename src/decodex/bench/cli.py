@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: sweep, bulk-study, parallel-study, iter-study, vectors.
-Exit codes: 0 on success, 1 on configuration errors, 2 when any sweep cell
-reports a failure state.  DECODEX_SEED overrides the configured seed.
+Exit codes: 0 on success, 1 on configuration errors (usage errors
+included), 2 when any sweep cell reports a failure state.  DECODEX_SEED
+overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -157,8 +158,15 @@ def _cmd_vectors(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); 2 means a failed cell."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="decodex", description=__doc__)
+    parser = _Parser(prog="decodex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run a backend x MCS x SNR x PRB sweep")
@@ -198,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -108,6 +108,8 @@ def run_parallel_study(
     one TB, decoded once for both launch modes.  Kernel columns exclude
     transfers, total columns include them.
     """
+    if not n_ue_list:
+        raise ConfigurationError("n_ue must be a non-empty list of UE counts")
     model = InlineModel()
     rows = []
     for n_ue in n_ue_list:
@@ -167,8 +169,10 @@ def run_iteration_study(
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    if not all(rate > 0 for rate in rate_list):
-        raise ConfigurationError(f"code rates must be positive, got {list(rate_list)}")
+    if not (k_list and rate_list and iter_list):
+        raise ConfigurationError("k, rate and iteration lists must be non-empty")
+    if not all(0 < rate < 1 for rate in rate_list):
+        raise ConfigurationError(f"code rates must be in (0, 1), got {list(rate_list)}")
     cases = []
     for k in k_list:
         for rate in rate_list:

@@ -110,10 +110,9 @@ def _cell_records(
     vectors = generate_cell_vectors(mcs, prb, snr_db, config.n_tb, seed, config.max_iterations)
     batches = [v.descriptors for v in vectors]
     cpu = backends.cpu_decode_batch([d for b in batches for d in b], workers=config.workers)
-    by_tb: dict[int, list] = {}
-    for o in cpu.outcomes:
-        by_tb.setdefault(o.tb_id, []).append(o)
-    outcomes = [by_tb[b[0].tb_id] for b in batches]
+    # TBs are numbered 0..n_tb-1 and outcomes come in (tb_id, cb_id) order
+    ends = itertools.accumulate(len(b) for b in batches)
+    outcomes = [cpu.outcomes[end - len(b):end] for b, end in zip(batches, ends)]
     results = [reassemble([o.bits for o in outs], v.tb) for v, outs in zip(vectors, outcomes)]
     tb_ok = [r.ok and np.array_equal(r.payload_bits, v.tb.payload_bits)
              for r, v in zip(results, vectors)]
@@ -130,28 +129,22 @@ def _cell_records(
             else:
                 reports = [backends.inline_decode_parallel([b], model, outs) for b, outs in runs]
             delivered = [r.outcomes for r in reports]
-        errors = sum(
-            not (ok and len(outs) == len(b)) for ok, outs, b in zip(tb_ok, delivered, batches)
-        )
+        errors = sum(not (ok and len(outs) == len(b))
+                     for ok, outs, b in zip(tb_ok, delivered, batches))
         iterations = [o.iterations_used for outs in delivered for o in outs]
         utilizations = [r.utilization for r in reports if r.utilization is not None]
         lat = np.asarray([us for r in reports for us in r.tb_latency_us.values()])
-        records.append(
-            SweepRecord(
-                backend=kind,
-                mcs=mcs,
-                snr_db=snr_db,
-                prb=prb,
-                n_tb=config.n_tb,
-                bler=errors / config.n_tb,
-                mean_iterations=float(np.mean(iterations)) if iterations else 0.0,
-                p50_us=float(np.percentile(lat, 50)) if lat.size else math.nan,
-                p99_us=float(np.percentile(lat, 99)) if lat.size else math.nan,
-                mean_us=float(lat.mean()) if lat.size else math.nan,
-                utilization=float(np.mean(utilizations)) if utilizations else None,
-                failure=next((r.failure for r in reports if r.failure), None),
-            )
-        )
+        p50, p99 = np.percentile(lat, (50, 99)) if lat.size else (math.nan, math.nan)
+        records.append(SweepRecord(
+            kind, mcs, snr_db, prb, config.n_tb,
+            bler=errors / config.n_tb,
+            mean_iterations=float(np.mean(iterations)) if iterations else 0.0,
+            p50_us=float(p50),
+            p99_us=float(p99),
+            mean_us=float(lat.mean()) if lat.size else math.nan,
+            utilization=float(np.mean(utilizations)) if utilizations else None,
+            failure=next((r.failure for r in reports if r.failure), None),
+        ))
     return records
 
 

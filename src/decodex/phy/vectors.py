@@ -79,7 +79,10 @@ def generate_cell_vectors(
     seed: int,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> list[TbVectors]:
-    """n_tb random TBs for one (mcs, prb, snr) cell, seeds spread per TB."""
+    """n_tb random TBs for one (mcs, prb, snr) cell, seeds spread per TB;
+    the TBs are numbered 0..n_tb-1 in order."""
+    if n_tb < 1:
+        raise ValueError(f"n_tb must be >= 1, got {n_tb}")
     out = []
     for i in range(n_tb):
         tb_seed = seed ^ i

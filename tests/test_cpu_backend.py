@@ -1,5 +1,6 @@
 """Thread-of-execution semantics of the CPU worker-pool backend."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -11,7 +12,13 @@ import threading
 import numpy as np
 import pytest
 
-from decodex.backends import cpu_decode_batch
+from decodex.backends import (
+    InlineModel,
+    LookasideModel,
+    cpu_decode_batch,
+    inline_decode_parallel,
+    run_lookaside_bulk,
+)
 from decodex.ldpc import CodeBlockParams, decode_layered_minsum, encode
 from decodex.nr import DecodeDescriptor
 from decodex.phy import generate_cell_vectors
@@ -148,3 +155,38 @@ def test_process_with_a_pool_exits():
             "vecs = generate_cell_vectors(4, 10, 8.0, 2, 5)\n"
             "cpu_decode_batch([d for v in vecs for d in v.descriptors], workers=2)\n")
     assert subprocess.run([sys.executable, "-c", code], timeout=30).returncode == 0
+
+
+def test_backend_reports_are_frozen_values():
+    descs = _descriptors(1)
+    outcomes = cpu_decode_batch(descs).outcomes
+    reports = [
+        cpu_decode_batch(descs),
+        run_lookaside_bulk(descs, LookasideModel(), outcomes),
+        inline_decode_parallel([descs], InlineModel(), outcomes),
+    ]
+    for report in reports:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.outcomes = []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.failure = "set after the clock built the report"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outcomes_come_in_tb_then_cb_order(workers):
+    """Descriptors handed over in reverse TB order, multi-CB TBs included,
+    come back in (tb_id, cb_id) order, and bits_by_tb keeps the cb order."""
+    vecs = generate_cell_vectors(9, 100, 20.0, 3, 5)
+    descs = [d for v in reversed(vecs) for d in v.descriptors]
+    report = cpu_decode_batch(descs, workers=workers)
+    keys = [(o.tb_id, o.cb_id) for o in report.outcomes]
+    assert keys == sorted((d.tb_id, d.cb_id) for d in descs)
+    assert {cb for _, cb in keys} == {0, 1, 2}  # three CBs per TB
+    by_tb = report.bits_by_tb()
+    assert list(by_tb) == [0, 1, 2]
+    for v in vecs:
+        tb_id = v.descriptors[0].tb_id
+        direct = [decode_layered_minsum(d.llr, d.cb_params, d.max_iterations).bits
+                  for d in v.descriptors]
+        assert len(by_tb[tb_id]) == len(direct)
+        assert all(np.array_equal(a, b) for a, b in zip(by_tb[tb_id], direct))

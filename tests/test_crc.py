@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodex.nr.crc import CRC24A_POLY, CRC24B_POLY, attach_crc, check_crc, crc24
+from decodex.nr.crc import CRC24A_POLY, CRC24B_POLY, CRC_LEN, attach_crc, check_crc, crc24
 
 from helpers import crc_bit_serial
 
@@ -65,3 +65,33 @@ def test_long_message_matches_oracle():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, 20001, dtype=np.uint8)  # crosses the mask-table growth path
     assert crc24(bits, "A") == crc_bit_serial(bits, CRC24A_POLY)
+
+
+def _check_crc_by_recomputing(bits_with_crc, variant):
+    """check_crc as the trailing-bit comparison: recompute the CRC of the
+    leading bits and compare it, MSB first, with the trailing 24 bits."""
+    if bits_with_crc.size <= CRC_LEN:
+        return False
+    data, tail = bits_with_crc[:-CRC_LEN], bits_with_crc[-CRC_LEN:]
+    value = crc24(data, variant)
+    expect = (value >> np.arange(CRC_LEN - 1, -1, -1)) & 1
+    return bool(np.array_equal(tail, expect.astype(np.uint8)))
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize("kind", ["intact", "tail-flipped", "body-flipped", "random"])
+def test_zero_remainder_check_equals_trailing_bit_comparison(variant, kind):
+    """A block followed by its own CRC has CRC 0, and only then."""
+    rng = np.random.default_rng(2024)
+    for size in [*range(1, 60), 100, 999, 8424, 30000]:
+        for _ in range(6):
+            bits = rng.integers(0, 2, size, dtype=np.uint8)
+            if kind != "random":
+                bits = attach_crc(bits, variant)
+            if kind == "tail-flipped":
+                bits[-int(rng.integers(1, CRC_LEN + 1))] ^= 1
+            elif kind == "body-flipped":
+                bits[int(rng.integers(0, size))] ^= 1
+            want = _check_crc_by_recomputing(bits, variant)
+            assert check_crc(bits, variant) == want
+            assert want == (kind == "intact")

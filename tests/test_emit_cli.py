@@ -224,3 +224,47 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parallel-study", "--prb", "abc"], ["sweep"], ["bulk-study", "--n-ops", "abc"]],
+    ids=["bad-int-option", "missing-required-option", "bad-int-list"],
+)
+def test_cli_usage_errors_are_configuration_errors(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_tb", ["0", "-1"])
+def test_cli_vectors_rejects_no_tbs(tmp_path, capsys, n_tb):
+    out = tmp_path / "golden.txt"
+    assert main(["vectors", "--dump", str(out), "--n-tb", n_tb]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parallel-study", "--ue", ""],
+        ["iter-study", "--k", ""],
+        ["iter-study", "--iters", ""],
+        ["iter-study", "--rates", ""],
+        ["iter-study", "--rates", "1.5"],
+        ["iter-study", "--rates", "1"],
+    ],
+    ids=["no-ues", "no-k", "no-iterations", "no-rates", "rate-above-1", "rate-1"],
+)
+def test_cli_study_inputs_no_study_can_run(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == ""
