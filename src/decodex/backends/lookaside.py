@@ -18,7 +18,7 @@ nothing; they attach the caller's outcomes of the ops the drain delivered.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
@@ -78,7 +78,8 @@ def lookaside_dequeue(
     return out
 
 
-def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> BackendReport:
+def _report(q: QueuePair, completed, clock: float, retries: int,
+            outcomes: list[DecodeOutcome]) -> BackendReport:
     # FIFO order: a TB's first op was enqueued first and its last op dequeued last.
     first_submit: dict[int, float] = {}
     for desc, t_enq, _ in completed:
@@ -88,6 +89,7 @@ def _timing_report(q: QueuePair, completed, clock: float, retries: int) -> Backe
     return BackendReport(
         clock_type="virtual",
         tb_latency_us={d.tb_id: t_deq - first_submit[d.tb_id] for d, _, t_deq in completed},
+        outcomes=outcomes[: q.deq_count],  # a drain shortfall delivers the first deq_count
         total_us=clock,
         enq_count=q.enq_count,
         deq_count=q.deq_count,
@@ -112,32 +114,6 @@ def _wait(q: QueuePair, target: int, clock: float, retries: int, completed: list
     return clock
 
 
-def lookaside_bulk_report(
-    descriptors: list[DecodeDescriptor],
-    model: LookasideModel,
-    depth: int = DEFAULT_QUEUE_DEPTH,
-    max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
-) -> BackendReport:
-    """Timing of enqueueing every op as soon as the queue has room, then
-    draining.
-
-    A full queue waits for one free slot and the drain waits for an empty
-    queue; each wait polls at most max_drain_retries times.  A wait that
-    exhausts its budget ends the run with a drain_shortfall failure state
-    (enq != deq) rather than raising.  At depth 1 this is sequential
-    dispatch: each op is enqueued once the previous one has dequeued.
-    """
-    q = QueuePair(model=model, depth=depth)
-    clock = 0.0
-    completed = []
-    for d in descriptors:
-        clock = _wait(q, depth - 1, clock, max_drain_retries, completed)
-        if not lookaside_enqueue(q, d, clock):
-            return _timing_report(q, completed, clock, max_drain_retries)
-    clock = _wait(q, 0, clock, max_drain_retries, completed)
-    return _timing_report(q, completed, clock, max_drain_retries)
-
-
 def run_lookaside_bulk(
     descriptors: list[DecodeDescriptor],
     model: LookasideModel,
@@ -145,10 +121,36 @@ def run_lookaside_bulk(
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
 ) -> BackendReport:
-    """lookaside_bulk_report with the caller's ``outcomes`` (in descriptor
-    order) of the delivered ops: a drain shortfall delivers the first deq_count."""
-    report = lookaside_bulk_report(descriptors, model, depth, max_drain_retries)
-    return replace(report, outcomes=outcomes[: report.deq_count])
+    """Enqueue every op as soon as the queue has room, then drain; the report
+    carries the caller's ``outcomes`` (in descriptor order) of the delivered
+    ops.
+
+    A full queue waits for one free slot and the drain waits for an empty
+    queue; each wait polls at most max_drain_retries times.  A wait that
+    exhausts its budget ends the run with a drain_shortfall failure state
+    (enq != deq) rather than raising, and only the first deq_count ops are
+    delivered.  At depth 1 this is sequential dispatch: each op is enqueued
+    once the previous one has dequeued.
+    """
+    q = QueuePair(model=model, depth=depth)
+    clock = 0.0
+    completed = []
+    for d in descriptors:
+        clock = _wait(q, depth - 1, clock, max_drain_retries, completed)
+        if not lookaside_enqueue(q, d, clock):
+            return _report(q, completed, clock, max_drain_retries, outcomes)
+    clock = _wait(q, 0, clock, max_drain_retries, completed)
+    return _report(q, completed, clock, max_drain_retries, outcomes)
+
+
+def lookaside_bulk_report(
+    descriptors: list[DecodeDescriptor],
+    model: LookasideModel,
+    depth: int = DEFAULT_QUEUE_DEPTH,
+    max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
+) -> BackendReport:
+    """The timing alone of run_lookaside_bulk."""
+    return run_lookaside_bulk(descriptors, model, [], depth, max_drain_retries)
 
 
 def run_lookaside_sequential(

@@ -9,7 +9,8 @@ and every extension row's diagonal block, an unshifted identity, at once.
 The codeword is held as block-columns written twice, ``(n_cols, 2 * zc)``,
 so the circulant ``(col, shift)`` of ``ParityCheckMatrix.edges`` applied to
 its block-column is the window ``[shift, shift + zc)`` of that row: the
-compiled decoder's two contiguous runs, in numpy.
+compiled decoder's two contiguous runs, in numpy.  A leading axis carries a
+batch of code blocks of one shape through the same steps.
 """
 
 from __future__ import annotations
@@ -85,20 +86,22 @@ def _encoder_plan(bg_id: int, zc: int, set_index: int):
 
 
 def encode(info_bits: np.ndarray, params: CodeBlockParams) -> np.ndarray:
-    """Encode ``params.k`` systematic bits into the full n_full codeword.
+    """Encode each row of ``params.k`` systematic bits into its full n_full
+    codeword; a 1-D call is the one-row case.
 
     Filler positions inside info_bits must already be zero.  Systematic base
     columns beyond params.kb (short payloads on BG2) are encoded as zeros.
     """
     info_bits = np.asarray(info_bits, dtype=np.uint8)
-    if info_bits.ndim != 1 or len(info_bits) != params.k:
-        raise ValueError(f"expected {params.k} info bits, got {len(info_bits)}")
+    if info_bits.ndim not in (1, 2) or info_bits.shape[-1] != params.k:
+        raise ValueError(f"expected rows of {params.k} info bits, got shape {info_bits.shape}")
 
     zc = params.zc
-    blocks = np.zeros((BG_DIMS[params.bg][1], 2 * zc), dtype=np.uint8)
-    blocks[: params.kb, :zc] = blocks[: params.kb, zc:] = info_bits.reshape(params.kb, zc)
-    windows = sliding_window_view(blocks, zc, axis=1)  # [col, shift]: a circulant's output
+    rows = info_bits.reshape(-1, params.kb, zc)
+    blocks = np.zeros((len(rows), BG_DIMS[params.bg][1], 2 * zc), dtype=np.uint8)
+    blocks[:, : params.kb, :zc] = blocks[:, : params.kb, zc:] = rows
+    windows = sliding_window_view(blocks, zc, axis=2)  # [row, col, shift]: a circulant's output
     for cols, shifts, solved in _encoder_plan(params.bg, zc, params.set_index):
-        bits = np.bitwise_xor.reduce(windows[cols, shifts], axis=1)
-        blocks[solved, :zc] = blocks[solved, zc:] = bits
-    return blocks[:, :zc].ravel()
+        bits = np.bitwise_xor.reduce(windows[:, cols, shifts], axis=2)
+        blocks[:, solved, :zc] = blocks[:, solved, zc:] = bits
+    return blocks[:, :, :zc].reshape(info_bits.shape[:-1] + (params.n_full,))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,9 +59,9 @@ def split_coded_bits(total_e: int, c: int) -> list[int]:
 class DecodeDescriptor:
     """One decode operation: soft input, coding parameters, placement.
 
-    llr is the post-dematch soft block (n_full int8 values); it stays None
-    until the vector-generation pipeline attaches one with
-    ``dataclasses.replace``, which checks its length.
+    llr is the post-dematch soft block (n_full int8 values), None until the
+    vector-generation pipeline builds the descriptor with one; its length is
+    checked.
     """
 
     cb_params: CodeBlockParams
@@ -102,24 +103,25 @@ def build_tb_descriptors(
     ]
 
 
-def code_block_bits(tb: TransportBlock, plan: SegmentationPlan) -> list[np.ndarray]:
-    """Systematic bit blocks per CB: chunk (+CB CRC when C>1) + filler zeros.
+def code_block_bits(
+    tb: TransportBlock | Sequence[TransportBlock], plan: SegmentationPlan
+) -> np.ndarray:
+    """Systematic bit blocks, one row per CB: chunk (+CB CRC when C>1) +
+    filler zeros.  TBs of one plan give their rows in (TB, CB) order.
 
     The TB CRC is appended first; the tail chunk is zero-padded up to the
     chunk size before its CB CRC when the split does not divide evenly.
     """
-    stream = attach_crc(tb.payload_bits, TB_CRC_VARIANT)
+    tbs = [tb] if isinstance(tb, TransportBlock) else tb
+    stream = attach_crc(np.stack([t.payload_bits for t in tbs]), TB_CRC_VARIANT)
     chunk = plan.bits_per_chunk
-    blocks = []
-    for i in range(plan.c):
-        part = stream[i * chunk:(i + 1) * chunk]
-        if part.size < chunk:
-            part = np.concatenate([part, np.zeros(chunk - part.size, dtype=np.uint8)])
-        if plan.c > 1:
-            part = attach_crc(part, CB_CRC_VARIANT)
-        block = np.zeros(plan.params[i].k, dtype=np.uint8)
-        block[: part.size] = part
-        blocks.append(block)
+    parts = np.zeros((len(tbs), plan.c * chunk), dtype=np.uint8)
+    parts[:, : stream.shape[1]] = stream
+    parts = parts.reshape(-1, chunk)
+    if plan.c > 1:
+        parts = attach_crc(parts, CB_CRC_VARIANT)
+    blocks = np.zeros((len(parts), plan.params[0].k), dtype=np.uint8)
+    blocks[:, : parts.shape[1]] = parts
     return blocks
 
 

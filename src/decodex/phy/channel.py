@@ -30,12 +30,18 @@ class ChannelConfig:
 def transmit(symbols: np.ndarray, channel: ChannelConfig) -> np.ndarray:
     """y = x + n with n ~ CN(0, sigma2), variance split evenly across I/Q.
 
-    Identical (symbols, channel) always produce identical output.
+    Identical (symbols, channel) always produce identical output.  The noise
+    is drawn over the last axis only, from a generator seeded afresh on every
+    call, and added to every row of a (rows, n_sym) array.  So the rows of
+    one call, like repeated calls with one config, get the same noise
+    samples.  This is a known deviation from independent AWGN per code
+    block: the code blocks of a transport block share its seed.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if channel.sigma2 == 0.0:
         return symbols.copy()
     rng = np.random.default_rng(channel.seed)
     scale = math.sqrt(channel.sigma2 / 2.0)
-    noise = rng.normal(0.0, scale, symbols.shape) + 1j * rng.normal(0.0, scale, symbols.shape)
+    n_sym = symbols.shape[-1]
+    noise = rng.normal(0.0, scale, n_sym) + 1j * rng.normal(0.0, scale, n_sym)
     return symbols + noise

@@ -54,12 +54,14 @@ def constellation(qm: int) -> np.ndarray:
 
 
 def modulate(bits: np.ndarray, qm: int) -> np.ndarray:
-    """Map a bit sequence to complex symbols; zero-pads to a multiple of qm."""
+    """Map each row of bits (the last axis) to complex symbols; zero-pads the
+    rows to a multiple of qm."""
     pts = constellation(qm)
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % qm:
-        bits = np.concatenate([bits, np.zeros(qm - bits.size % qm, dtype=np.uint8)])
-    groups = bits.reshape(-1, qm)
+    if bits.shape[-1] % qm:
+        pad = np.zeros(bits.shape[:-1] + (qm - bits.shape[-1] % qm,), dtype=np.uint8)
+        bits = np.concatenate([bits, pad], axis=-1)
+    groups = bits.reshape(bits.shape[:-1] + (-1, qm))
     idx = groups @ (1 << np.arange(qm - 1, -1, -1))
     return pts[idx]
 

@@ -2,17 +2,29 @@
 decoded outcomes the virtual-clock runners take from their callers."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from decodex.backends import cpu_decode_batch
 from decodex.ldpc import (
+    DEFAULT_MAX_ITERATIONS,
     LIFTING_SETS,
     CodeBlockParams,
     encode,
     get_base_graph,
     set_index_for_zc,
 )
+from decodex.nr import (
+    attach_crc,
+    build_tb_descriptors,
+    mcs_lookup,
+    plan_transport_block,
+    random_transport_block,
+    rate_dematch,
+    rate_match,
+)
+from decodex.phy import ChannelConfig, TbVectors, demap_llr, modulate, transmit
 
 # One small lifting size per set index: 2, 3, 5, 7, 9, 11, 13, 15.
 SMALLEST_PER_SET = tuple(sizes[0] for sizes in LIFTING_SETS)
@@ -76,3 +88,58 @@ def outcomes_of(descriptors):
     """Decoded outcomes of ``descriptors`` in their (tb_id, cb_id) order, as a
     caller hands them to run_lookaside_* and inline_decode_*."""
     return cpu_decode_batch(list(descriptors)).outcomes
+
+
+def code_block_bits_per_cb(tb, plan):
+    """Systematic bit blocks of one TB, one code block at a time, each CRC a
+    1-D call: the segmentation as it ran before the chain was batched."""
+    stream = attach_crc(tb.payload_bits, "A")
+    chunk = plan.bits_per_chunk
+    blocks = []
+    for i in range(plan.c):
+        part = stream[i * chunk:(i + 1) * chunk]
+        if part.size < chunk:
+            part = np.concatenate([part, np.zeros(chunk - part.size, dtype=np.uint8)])
+        if plan.c > 1:
+            part = attach_crc(part, "B")
+        block = np.zeros(plan.params[i].k, dtype=np.uint8)
+        block[: part.size] = part
+        blocks.append(block)
+    return blocks
+
+
+def prepare_tb_vectors_per_cb(tb, snr_db, seed, tb_id=0, max_iterations=DEFAULT_MAX_ITERATIONS):
+    """The transmit chain one code block at a time, every stage a 1-D call:
+    the oracle of the batched chain."""
+    entry = mcs_lookup(tb.mcs)
+    plan = plan_transport_block(tb)
+    blank = build_tb_descriptors(tb, max_iterations=max_iterations, tb_id=tb_id)
+    blocks = code_block_bits_per_cb(tb, plan)
+    channel = ChannelConfig(snr_db=snr_db, seed=seed)
+    sigma2 = channel.sigma2 if channel.sigma2 > 0 else 10.0 ** (-30 / 10.0)
+
+    descriptors = []
+    llrs_per_cb = []
+    for desc, block in zip(blank, blocks):
+        cw = encode(block, desc.cb_params)
+        tx_bits = rate_match(cw, desc.cb_params)
+        symbols = modulate(tx_bits, entry.qm)
+        received = transmit(symbols, channel)
+        llrs = demap_llr(received, entry.qm, sigma2)[: desc.cb_params.e]
+        descriptors.append(replace(desc, llr=rate_dematch(llrs, desc.cb_params)))
+        llrs_per_cb.append(llrs)
+    return TbVectors(tb=tb, descriptors=descriptors, channel_llrs=llrs_per_cb)
+
+
+def generate_cell_vectors_per_cb(mcs, prb, snr_db, n_tb, seed,
+                                 max_iterations=DEFAULT_MAX_ITERATIONS):
+    """generate_cell_vectors through the per-CB oracle chain."""
+    out = []
+    for i in range(n_tb):
+        tb_seed = seed ^ i
+        rng = np.random.default_rng(tb_seed)
+        tb = random_transport_block(mcs, prb, rng)
+        out.append(
+            prepare_tb_vectors_per_cb(tb, snr_db, tb_seed, tb_id=i, max_iterations=max_iterations)
+        )
+    return out

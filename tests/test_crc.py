@@ -95,3 +95,29 @@ def test_zero_remainder_check_equals_trailing_bit_comparison(variant, kind):
             want = _check_crc_by_recomputing(bits, variant)
             assert check_crc(bits, variant) == want
             assert want == (kind == "intact")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5000), st.sampled_from(["A", "B"]), st.data())
+def test_each_row_of_a_2d_call_matches_the_oracle(n_rows, n, variant, data):
+    """Rows on the last axis: each row's CRC is its bit-serial CRC, and
+    attach_crc appends each row's own CRC."""
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (n_rows, n), dtype=np.uint8)
+    values = crc24(bits, variant)
+    assert values.shape == (n_rows,)
+    assert [int(v) for v in values] == [crc_bit_serial(row, POLYS[variant]) for row in bits]
+    tagged = attach_crc(bits, variant)
+    for row, tagged_row in zip(bits, tagged):
+        assert np.array_equal(tagged_row, attach_crc(row, variant))
+
+
+def test_long_rows_reduce_in_slices():
+    """Rows longer than one multiply-and-reduce slice, and more rows than
+    fit a slice side by side, still match the oracle."""
+    rng = np.random.default_rng(8)
+    for shape in [(2, 80_064), (40_000, 3)]:
+        bits = rng.integers(0, 2, shape, dtype=np.uint8)
+        values = crc24(bits, "A")
+        for i in (0, shape[0] - 1):
+            assert int(values[i]) == crc_bit_serial(bits[i], CRC24A_POLY)
