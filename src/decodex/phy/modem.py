@@ -88,10 +88,20 @@ def _axis_levels(qm: int) -> np.ndarray:
     return np.stack([pts.real[only_i], pts.imag[only_q]])
 
 
+# Points x symbols per block of _full_search: its complex differences are
+# taken a block of points at a time, so a demap call over a whole batch of
+# code blocks holds one point's row of them, not one row per point.
+_FULL_SEARCH_BLOCK = 1 << 13
+
+
 def _full_search(y: np.ndarray, qm: int) -> np.ndarray:
     """(qm, n): per bit, min over its bit-1 points - min over its bit-0
     points of |y - s|^2, over all 2^qm points."""
-    d2 = np.abs(y[None, :] - constellation(qm)[:, None])  # (point, n)
+    pts = constellation(qm)
+    d2 = np.empty((pts.size, y.size))  # (point, n)
+    step = max(1, _FULL_SEARCH_BLOCK // max(1, y.size))
+    for lo in range(0, pts.size, step):
+        np.abs(y[None, :] - pts[lo:lo + step, None], out=d2[lo:lo + step])
     d2 *= d2
     out = np.empty((qm, y.size))
     for j in range(qm):
