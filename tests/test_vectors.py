@@ -55,7 +55,7 @@ def _assert_same(got, want):
 
 # -- end to end --------------------------------------------------------------
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     mcs=st.integers(0, 27),
     prb=st.integers(1, 275),
