@@ -23,6 +23,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 
 from ..ldpc import decode_layered_minsum, minsum_kernel
 from ..nr import DecodeDescriptor
@@ -109,6 +110,6 @@ def cpu_decode_batch(descriptors: list[DecodeDescriptor], workers: int = 1) -> B
     return BackendReport(
         clock_type="wall",
         total_us=(time.perf_counter() - batch_start) * 1e6,
-        tb_latency_us={tb_id: us for tb_id, us, _ in results},
-        outcomes=[o for _, _, outcomes in results for o in outcomes],
+        tb_latency_us=MappingProxyType({tb_id: us for tb_id, us, _ in results}),
+        outcomes=tuple(o for _, _, outcomes in results for o in outcomes),
     )

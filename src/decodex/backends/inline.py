@@ -19,7 +19,9 @@ decode nothing; perfbench hooks them by name.  An empty input is zero work:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
@@ -97,11 +99,12 @@ def inline_timing_parallel(
 
 
 def _report(tb_batches: list[list[DecodeDescriptor]], timing: InlineTiming,
-            outcomes: list[DecodeOutcome]) -> BackendReport:
+            outcomes: Sequence[DecodeOutcome]) -> BackendReport:
     return BackendReport(
         clock_type="virtual",
-        tb_latency_us={batch[0].tb_id: us for batch, us in zip(tb_batches, timing.tb_us)},
-        outcomes=list(outcomes),
+        tb_latency_us=MappingProxyType(
+            {batch[0].tb_id: us for batch, us in zip(tb_batches, timing.tb_us)}),
+        outcomes=tuple(outcomes),
         total_us=timing.total_us,
         utilization=timing.utilization,
     )
@@ -115,7 +118,7 @@ def inline_parallel_report(
 
 
 def inline_decode_sequential(
-    tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: list[DecodeOutcome]
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: Sequence[DecodeOutcome]
 ) -> BackendReport:
     """One launch per TB, back to back, each TB transferred separately."""
     counts = [len(b) for b in tb_batches]
@@ -124,7 +127,7 @@ def inline_decode_sequential(
 
 
 def inline_decode_parallel(
-    tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: list[DecodeOutcome]
+    tb_batches: list[list[DecodeDescriptor]], model: InlineModel, outcomes: Sequence[DecodeOutcome]
 ) -> BackendReport:
     """One launch over all codewords after one aggregate transfer, with the
     caller's ``outcomes`` attached."""

@@ -18,7 +18,9 @@ nothing; they attach the caller's outcomes of the ops the drain delivered.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..ldpc import decode_layered_minsum  # noqa: F401  (perfbench/tracing.py patches this name)
 from ..nr import DecodeDescriptor
@@ -79,7 +81,7 @@ def lookaside_dequeue(
 
 
 def _report(q: QueuePair, completed, clock: float, retries: int,
-            outcomes: list[DecodeOutcome]) -> BackendReport:
+            outcomes: Sequence[DecodeOutcome]) -> BackendReport:
     # FIFO order: a TB's first op was enqueued first and its last op dequeued last.
     first_submit: dict[int, float] = {}
     for desc, t_enq, _ in completed:
@@ -88,8 +90,9 @@ def _report(q: QueuePair, completed, clock: float, retries: int,
                if q.enq_count != q.deq_count else None)
     return BackendReport(
         clock_type="virtual",
-        tb_latency_us={d.tb_id: t_deq - first_submit[d.tb_id] for d, _, t_deq in completed},
-        outcomes=outcomes[: q.deq_count],  # a drain shortfall delivers the first deq_count
+        tb_latency_us=MappingProxyType(
+            {d.tb_id: t_deq - first_submit[d.tb_id] for d, _, t_deq in completed}),
+        outcomes=tuple(outcomes[: q.deq_count]),  # a drain shortfall delivers the first deq_count
         total_us=clock,
         enq_count=q.enq_count,
         deq_count=q.deq_count,
@@ -117,7 +120,7 @@ def _wait(q: QueuePair, target: int, clock: float, retries: int, completed: list
 def run_lookaside_bulk(
     descriptors: list[DecodeDescriptor],
     model: LookasideModel,
-    outcomes: list[DecodeOutcome],
+    outcomes: Sequence[DecodeOutcome],
     depth: int = DEFAULT_QUEUE_DEPTH,
     max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
 ) -> BackendReport:
@@ -154,7 +157,7 @@ def lookaside_bulk_report(
 
 
 def run_lookaside_sequential(
-    descriptors: list[DecodeDescriptor], model: LookasideModel, outcomes: list[DecodeOutcome]
+    descriptors: list[DecodeDescriptor], model: LookasideModel, outcomes: Sequence[DecodeOutcome]
 ) -> BackendReport:
     """One op at a time: run_lookaside_bulk at queue depth 1."""
     return run_lookaside_bulk(descriptors, model, outcomes, depth=1)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,9 @@ class BackendReport:
     once by the clock that timed the call.
 
     clock_type is "wall" for the real CPU pool and "virtual" for the
-    simulated accelerators.  outcomes come in (tb_id, cb_id) order.  enq/deq
+    simulated accelerators.  tb_latency_us is a read-only mapping and
+    outcomes a tuple in (tb_id, cb_id) order, so nothing changes the report
+    in place.  enq/deq
     counters apply to the lookaside queue (conserved: equal after a
     successful drain); utilization applies to the inline launch models;
     failure carries an explicit error state such as a drain shortfall
@@ -32,8 +35,8 @@ class BackendReport:
     """
 
     clock_type: str
-    tb_latency_us: dict[int, float] = field(default_factory=dict)
-    outcomes: list[DecodeOutcome] = field(default_factory=list)
+    tb_latency_us: Mapping[int, float]
+    outcomes: tuple[DecodeOutcome, ...]
     total_us: float = 0.0
     utilization: float | None = None
     enq_count: int | None = None

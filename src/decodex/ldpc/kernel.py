@@ -30,7 +30,9 @@ log = logging.getLogger(__name__)
 
 # -O3: the kernel's loops run over the zc lanes, a run-time trip count, and
 # gcc 12's -O2 cost model does not vectorize such loops.  No -march=native: a
-# cached build must run on any host of the architecture, so x86-64 gets SSE2.
+# cached build must run on any host of the architecture.  On x86-64 with glibc
+# the one build carries an AVX2 clone and a portable default clone, and the
+# loader picks one (minsum.c); elsewhere there is no ifunc, so no clones.
 CFLAGS = ("-O3", "-shared", "-fPIC", f"-DMAX_DEGREE={MAX_ROW_DEGREE}",
           f"-DMAX_ZC={max(ALL_LIFTING_SIZES)}")
 CACHE_DIR = Path(__file__).resolve().parent / "_build"

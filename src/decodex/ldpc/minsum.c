@@ -6,13 +6,16 @@
  * the layers.
  *
  * The loops run edge-major: every inner loop walks the zc lanes of one
- * circulant, so gcc vectorizes them (at -O3) with SSE2.  Entry e of `edges`
- * is the pair (col * zc, shift): lane j of that circulant is codeword
- * position col * zc + (j + shift) % zc, that is the contiguous runs
- * [shift, zc) and then [0, shift) of its block-column.  Layer l owns
- * degrees[l] consecutive entries, and c2v holds its degrees[l] * zc messages
- * edge-major.  A layer's circulants share no column, so gathering the whole
- * layer before scattering it back is the same as updating lane by lane.
+ * circulant, so gcc vectorizes them at -O3, into an AVX2 clone (16 int16
+ * lanes) and a portable default clone (SSE2 on x86-64) of minsum_decode in
+ * one library; glibc's ifunc resolver picks one when the library loads.
+ * Entry e of `edges` is the pair (col * zc, shift): lane j of that
+ * circulant is codeword position col * zc + (j + shift) % zc, that is the
+ * contiguous runs [shift, zc) and then [0, shift) of its block-column.
+ * Layer l owns degrees[l] consecutive entries, and c2v holds its
+ * degrees[l] * zc messages edge-major.  A layer's circulants share no
+ * column, so gathering the whole layer before scattering it back is the
+ * same as updating lane by lane.
  *
  * Lanes, the per-call scratch and c2v are int16, which is exact: with int8
  * channel LLRs a posterior stays within 128 + 127 * (column degree), below
@@ -91,7 +94,12 @@ static int syndrome_ok(const int32_t *app, const int32_t *edges,
 
 /* Decodes in place: app holds the channel LLRs on entry and the posteriors
  * on return, c2v starts zeroed.  norm_q12 lies in [0, 4096].  Returns the
- * sweeps run and sets *converged. */
+ * sweeps run and sets *converged.  The clones need ifunc, so glibc
+ * (__GLIBC__ comes in through <stdint.h>): elsewhere, and under
+ * -DMINSUM_NO_CLONES, only the default body is built. */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(MINSUM_NO_CLONES)
+__attribute__((target_clones("avx2", "default")))
+#endif
 int minsum_decode(int32_t *app, int16_t *c2v, const int32_t *edges,
                   const int32_t *degrees, int n_layers, int zc,
                   int max_iterations, int norm_q12, int early_termination,

@@ -17,6 +17,7 @@ from decodex.backends import (
     LookasideModel,
     cpu_decode_batch,
     inline_decode_parallel,
+    lookaside_bulk_report,
     run_lookaside_bulk,
 )
 from decodex.ldpc import CodeBlockParams, decode_layered_minsum, encode
@@ -170,6 +171,22 @@ def test_backend_reports_are_frozen_values():
             report.outcomes = []
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.failure = "set after the clock built the report"
+
+
+def test_backend_report_fields_do_not_change_in_place():
+    descs = _descriptors(1)
+    outcomes = cpu_decode_batch(descs).outcomes
+    reports = [
+        cpu_decode_batch(descs),
+        run_lookaside_bulk(descs, LookasideModel(), outcomes),
+        inline_decode_parallel([descs], InlineModel(), outcomes),
+        lookaside_bulk_report([], LookasideModel()),
+    ]
+    for report in reports:
+        with pytest.raises(AttributeError):
+            report.outcomes.append(outcomes[0])
+        with pytest.raises(TypeError):
+            report.tb_latency_us[0] = 1.0
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -8,7 +8,10 @@ path that runs.
 """
 
 import logging
+import platform
 import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +95,48 @@ def test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern):
     want = _reference_sweeps(reference, pcm, 40, 3072, False)
     assert got == want
     assert np.array_equal(compiled, reference)
+
+
+@pytest.fixture
+def default_clone_only(monkeypatch, tmp_path_factory):
+    """Decodes on a build of minsum.c with -DMINSUM_NO_CLONES, the default
+    clone's body alone: on an AVX2 host the loader never picks the default
+    clone of the usual build.  All tests share the one cached build."""
+    monkeypatch.setattr(kernel, "CFLAGS", kernel.CFLAGS + ("-DMINSUM_NO_CLONES",))
+    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path_factory.getbasetemp() / "no-clones")
+    kernel.minsum_kernel.cache_clear()
+    assert kernel.minsum_kernel() is not None
+    assert len(list(kernel.CACHE_DIR.glob("minsum-*.so"))) == 1
+    yield
+    kernel.minsum_kernel.cache_clear()
+
+
+@needs_cc
+def test_default_clone_equals_the_numpy_reference(default_clone_only):
+    test_kernel_equals_the_numpy_reference()
+
+
+@needs_cc
+def test_default_clone_equals_the_reference_on_saturated_llrs(default_clone_only):
+    for bg in (1, 2):
+        for pattern in ("all -128", "all +127", "alternating"):
+            test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern)
+
+
+@needs_cc
+@pytest.mark.parametrize("macros", [(), ("-DMINSUM_NO_CLONES",)], ids=["clones", "no-clones"])
+def test_kernel_source_compiles_without_warnings(tmp_path, macros):
+    """Both clone configurations build under -Wall -Wextra -Werror, and the
+    usual build carries an AVX2 clone wherever the loader can pick one."""
+    lib = tmp_path / "minsum.so"
+    built = subprocess.run(
+        [shutil.which("cc"), *kernel.CFLAGS, "-Wall", "-Wextra", "-Werror", *macros,
+         str(Path(kernel.__file__).with_name("minsum.c")), "-o", str(lib)],
+        capture_output=True, text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    ifunc = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
+    assert (b"minsum_decode.avx2" in lib.read_bytes()) == (ifunc and not macros)
 
 
 @pytest.mark.parametrize("bg", sorted(BG_DIMS))

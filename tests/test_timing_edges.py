@@ -90,7 +90,7 @@ def test_empty_inline_run_is_zero_work(run):
     report = run()
     assert report.total_us == 0.0
     assert report.utilization == 0.0
-    assert report.tb_latency_us == {} and report.outcomes == []
+    assert report.tb_latency_us == {} and report.outcomes == ()
 
 
 def test_tiny_poll_interval_sequential_wait_is_bounded():
@@ -100,7 +100,7 @@ def test_tiny_poll_interval_sequential_wait_is_bounded():
         report = run_lookaside_sequential(_ops(1), model, outcomes_of(_ops(1)))
     assert "drain_shortfall" in report.failure
     assert (report.enq_count, report.deq_count) == (1, 0)
-    assert report.outcomes == []
+    assert report.outcomes == ()
 
 
 def test_tiny_poll_interval_backpressure_wait_is_bounded():
@@ -109,4 +109,4 @@ def test_tiny_poll_interval_backpressure_wait_is_bounded():
         report = run_lookaside_bulk(_ops(3), model, outcomes_of(_ops(3)), depth=1)
     assert "drain_shortfall" in report.failure
     assert report.enq_count != report.deq_count
-    assert report.outcomes == []
+    assert report.outcomes == ()
