@@ -99,9 +99,9 @@ def test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern):
 
 @pytest.fixture
 def default_clone_only(monkeypatch, tmp_path_factory):
-    """Decodes on a build of minsum.c with -DMINSUM_NO_CLONES, the default
-    clone's body alone: on an AVX2 host the loader never picks the default
-    clone of the usual build.  All tests share the one cached build."""
+    """Loads, for one test, a build of minsum.c with -DMINSUM_NO_CLONES: the
+    default clone's body alone, which the loader never picks from the usual
+    build on an AVX2 host.  The tests share one cached build."""
     monkeypatch.setattr(kernel, "CFLAGS", kernel.CFLAGS + ("-DMINSUM_NO_CLONES",))
     monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path_factory.getbasetemp() / "no-clones")
     kernel.minsum_kernel.cache_clear()
