@@ -2,7 +2,7 @@
 the per-code-block decode descriptors every backend consumes."""
 
 from .crc import attach_crc, check_crc, crc24
-from .mcs import McsEntry, compute_tb_size, mcs_lookup, mcs_table, num_coded_bits
+from .mcs import McsEntry, compute_tb_size, mcs_lookup, num_coded_bits
 from .pipeline import (
     DecodeDescriptor,
     ReassembledBlock,
@@ -33,7 +33,6 @@ __all__ = [
     "crc24",
     "make_transport_block",
     "mcs_lookup",
-    "mcs_table",
     "num_coded_bits",
     "plan_transport_block",
     "random_transport_block",

@@ -29,10 +29,6 @@ class McsEntry:
     def rate(self) -> float:
         return self.rate_num / 1024.0
 
-    @property
-    def spectral_efficiency(self) -> float:
-        return self.qm * self.rate
-
 
 @lru_cache(maxsize=1)
 def _table() -> tuple[McsEntry, ...]:
@@ -54,10 +50,6 @@ def mcs_lookup(index: int) -> McsEntry:
     if not 0 <= index < len(table):
         raise ValueError(f"MCS index {index} out of range [0, {len(table) - 1}]")
     return table[index]
-
-
-def mcs_table() -> tuple[McsEntry, ...]:
-    return _table()
 
 
 def compute_tb_size(prb: int, mcs: McsEntry) -> int:

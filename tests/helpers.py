@@ -10,6 +10,7 @@ from decodex.backends import cpu_decode_batch
 from decodex.ldpc import (
     DEFAULT_MAX_ITERATIONS,
     LIFTING_SETS,
+    LLR_MAX,
     CodeBlockParams,
     encode,
     get_base_graph,
@@ -24,7 +25,16 @@ from decodex.nr import (
     rate_dematch,
     rate_match,
 )
-from decodex.phy import ChannelConfig, TbVectors, demap_llr, modulate, transmit
+from decodex.phy import (
+    LLR_QUANT_GAIN,
+    ChannelConfig,
+    TbVectors,
+    constellation,
+    demap_llr,
+    modulate,
+    transmit,
+)
+from decodex.phy.modem import _symbol_bits
 
 # One small lifting size per set index: 2, 3, 5, 7, 9, 11, 13, 15.
 SMALLEST_PER_SET = tuple(sizes[0] for sizes in LIFTING_SETS)
@@ -82,6 +92,22 @@ def base_graph_h(bg: int, zc: int) -> np.ndarray:
 def dense_syndrome_ok(bg: int, zc: int, codeword: np.ndarray) -> bool:
     """Dense GF(2) matrix-vector oracle for the layered syndrome check."""
     return int((base_graph_h(bg, zc) @ codeword % 2).sum()) == 0
+
+
+def full_search_demap(symbols, qm: int, sigma2: float) -> np.ndarray:
+    """demap_llr's oracle: for bit j, the min of (y - s)^2 on bit j's axis
+    over all of constellation(qm)'s bit-1 points, minus the same over its
+    bit-0 points, then demap_llr's gain, rounding and int8 clip."""
+    pts = constellation(qm)
+    is1 = _symbol_bits(qm).T  # (qm, 2^qm)
+    y = np.asarray(symbols, dtype=np.complex128)
+    llrs = np.empty((y.size, qm))
+    for j in range(qm):
+        yj, sj = (y.real, pts.real) if j % 2 == 0 else (y.imag, pts.imag)
+        d2 = (yj[:, None] - sj[None, :]) ** 2  # (n_sym, 2^qm)
+        llrs[:, j] = d2[:, is1[j]].min(axis=1) - d2[:, ~is1[j]].min(axis=1)
+    llrs *= LLR_QUANT_GAIN / sigma2
+    return np.clip(np.rint(llrs), -LLR_MAX, LLR_MAX).astype(np.int8).reshape(-1)
 
 
 def outcomes_of(descriptors):

@@ -188,7 +188,7 @@ def test_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
     monkeypatch.setattr(kernel, "CFLAGS", kernel.CFLAGS + ("-DUNUSED_MACRO",))
     second = kernel._build(cc)
     assert second != first
-    assert sorted(tmp_path.iterdir()) == sorted([first, second])
+    assert sorted(tmp_path.iterdir()) == [second]
 
 
 def test_row_degree_above_the_kernel_scratch_is_rejected(monkeypatch):

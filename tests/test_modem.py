@@ -1,6 +1,7 @@
 """QAM mapping and max-log demapping."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodex.phy import ChannelConfig, LLR_QUANT_GAIN, demap_llr, modulate, transmit
-from decodex.phy.modem import _axis_levels, _reference_demap, constellation
+from decodex.phy.modem import _axis_levels, _symbol_bits, constellation
+from helpers import full_search_demap
 
 
 def test_qpsk_reference_points():
@@ -98,8 +100,8 @@ def test_sigma2_must_be_positive():
 
 @pytest.mark.parametrize("qm", [2, 4])
 def test_nan_sigma2_is_an_error(qm):
-    """NaN passes a sigma2 <= 0 check and gave all-zero LLRs; both search
-    paths (QPSK, and per axis) reject it."""
+    """NaN passes a sigma2 <= 0 check and gave all-zero LLRs; QPSK and
+    16QAM alike reject it."""
     with pytest.raises(ValueError, match="sigma2 must be positive"):
         demap_llr(np.array([1 + 1j]), qm, math.nan)
 
@@ -117,22 +119,54 @@ def _hard_coordinates(levels):
     )
 
 
-def _hard_symbols(qm):
+def _hard_symbols(qm, max_size=64):
     levels = _axis_levels(qm)
     symbol = st.builds(complex, _hard_coordinates(levels[0]), _hard_coordinates(levels[1]))
-    return st.tuples(st.just(qm), st.lists(symbol, max_size=64))
+    return st.tuples(st.just(qm), st.lists(symbol, max_size=max_size))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 4, 6, 8]).flatmap(_hard_symbols),
        st.one_of(st.sampled_from([5e-324, 1e-300, 1e300]), st.floats(5e-324, 1e300)))
 def test_per_axis_demap_equals_the_full_search(case, sigma2):
-    """The int8 LLRs equal the full search's, also where the per-axis minimum
-    could round differently: on boundaries, at |y| up to 1e150, and at
-    sigma2 from the smallest double to 1e300."""
+    """The int8 LLRs equal the full search's over all 2^qm points: on
+    boundaries, at |y| up to 1e150, and at sigma2 from the smallest double
+    to 1e300."""
     qm, symbols = case
     symbols = np.array(symbols)
     # The tiniest sigma2 scales to inf, which saturates, or 0 * inf on a boundary
     with np.errstate(invalid="ignore", over="ignore"):
-        got, want = demap_llr(symbols, qm, sigma2), _reference_demap(symbols, qm, sigma2)
+        got, want = demap_llr(symbols, qm, sigma2), full_search_demap(symbols, qm, sigma2)
     assert np.array_equal(got, want)
+
+
+def test_far_off_axis_symbol_keeps_its_on_level_bit():
+    """Re(y) sits on QPSK's bit-1 level, so bit 0's LLR saturates at -127.
+    A complex |y - s|^2 rounds both distances, each near 7.7e7, to one
+    float and gave 0."""
+    y = np.array([-0.7071067811865475 + 77490643j])
+    with np.errstate(over="ignore"):  # gain / 5e-324 is inf
+        assert demap_llr(y, 2, 5e-324).tolist() == [-127, 127]
+
+
+def _exact_max_log(d2, is1):
+    """The min of d2 over the bit-1 points minus the min over the bit-0 points."""
+    return (min(d for d, one in zip(d2, is1) if one)
+            - min(d for d, one in zip(d2, is1) if not one))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(lambda qm: _hard_symbols(qm, max_size=4)))
+def test_other_axis_cancels_exactly(case):
+    """In exact arithmetic, the 2-D max-log over all 2^qm points (with
+    dx^2 + dy^2) equals the per-axis one (bit j's axis alone) for every bit,
+    so demap_llr's search drops nothing."""
+    qm, symbols = case
+    pts = [(Fraction(s.real), Fraction(s.imag)) for s in constellation(qm)]
+    is1 = _symbol_bits(qm).T.tolist()
+    for y in symbols:
+        dx = [(Fraction(y.real) - px) ** 2 for px, _ in pts]
+        dy = [(Fraction(y.imag) - py) ** 2 for _, py in pts]
+        d2 = [a + b for a, b in zip(dx, dy)]
+        for j in range(qm):
+            assert _exact_max_log(d2, is1[j]) == _exact_max_log(dx if j % 2 == 0 else dy, is1[j])
