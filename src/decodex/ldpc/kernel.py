@@ -4,7 +4,8 @@ The system C compiler (``cc``) builds the kernel once per source and flag
 set into ``_build/`` next to this module.  The file is named by the SHA-256
 of the source and the flags, and written through a temporary file that is
 renamed into place, so concurrent processes never load a half-written
-library; a new build removes the others.  Each process resolves the kernel once, and its threads share it.
+library; a new build removes the others.  Each process resolves the kernel
+once, and its threads share it.
 Without a compiler, or when the build fails, ``minsum_kernel`` logs one
 warning and returns None, and the decoder runs its numpy reference.
 """

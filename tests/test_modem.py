@@ -169,4 +169,5 @@ def test_other_axis_cancels_exactly(case):
         dy = [(Fraction(y.imag) - py) ** 2 for _, py in pts]
         d2 = [a + b for a, b in zip(dx, dy)]
         for j in range(qm):
-            assert _exact_max_log(d2, is1[j]) == _exact_max_log(dx if j % 2 == 0 else dy, is1[j])
+            on_axis = dx if j % 2 == 0 else dy
+            assert _exact_max_log(d2, is1[j]) == _exact_max_log(on_axis, is1[j])
