@@ -6,8 +6,8 @@ BackendReport, a frozen value that the clock timing the call builds once.
 cpu_decode_batch decodes a batch on a worker pool, times it on the wall
 clock and gives its outcomes in (tb_id, cb_id) order.  The lookaside and
 inline models are virtual-clock timing functions of descriptor shapes plus a
-LookasideModel or an InlineModel: lookaside_bulk_report and
-inline_parallel_report give the timing report alone, and the runners
+LookasideModel or an InlineModel: lookaside_bulk_report and the
+inline_timing_* functions give the timing alone, and the runners
 (run_lookaside_*, inline_decode_*) attach the caller's outcomes of the ops
 they delivered, in the caller's order; no runner decodes, and perfbench
 hooks their names.
@@ -19,7 +19,6 @@ from .cpu import cpu_decode_batch
 from .inline import (
     inline_decode_parallel,
     inline_decode_sequential,
-    inline_parallel_report,
     inline_timing_parallel,
     inline_timing_sequential,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "cpu_decode_batch",
     "inline_decode_parallel",
     "inline_decode_sequential",
-    "inline_parallel_report",
     "inline_timing_parallel",
     "inline_timing_sequential",
     "lookaside_bulk_report",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: sweep, bulk-study, parallel-study, iter-study, vectors.
-Exit codes: 0 on success, 1 on configuration errors (usage errors
-included), 2 when any sweep cell reports a failure state.  DECODEX_SEED
-overrides the configured seed.
+Exit codes: 0 on success, 1 on configuration errors (usage errors and
+unwritable output paths included), 2 when any sweep cell reports a failure
+state.  DECODEX_SEED overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -101,8 +101,21 @@ def load_sweep_config(path: str | None) -> SweepConfig:
     return SweepConfig(**kwargs, models=models)
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work runs when output ``path`` is a directory or its
+    directory is missing or unwritable; "-" is stdout."""
+    if path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigurationError(f"cannot write {path}: {folder} is not a writable directory")
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_sweep(args) -> int:
     config = load_sweep_config(args.config)
+    _check_out(args.out)
     records = run_sweep(config)
     emit(records, args.format, args.out)
     failures = [r for r in records if r.failure]
@@ -128,17 +141,20 @@ def _write_table(row_type, rows, out):
 
 def _cmd_bulk_study(args) -> int:
     n_ops = list(_parse_list(args.n_ops, int))
+    _check_out(args.out)
     _write_table(BulkStudyRow, run_bulk_study(n_ops), args.out)
     return EXIT_OK
 
 
 def _cmd_parallel_study(args) -> int:
     n_ue = list(_parse_list(args.ue, int))
+    _check_out(args.out)
     _write_table(ParallelStudyRow, run_parallel_study(n_ue, args.prb, mcs=args.mcs), args.out)
     return EXIT_OK
 
 
 def _cmd_iter_study(args) -> int:
+    _check_out(args.out)
     rows = run_iteration_study(
         k_list=list(_parse_list(args.k, int)),
         rate_list=list(_parse_list(args.rates, float)),
@@ -150,6 +166,7 @@ def _cmd_iter_study(args) -> int:
 
 def _cmd_vectors(args) -> int:
     seed = _env_seed(args.seed)
+    _check_out(args.dump)
     vectors = generate_cell_vectors(args.mcs, args.prb, args.snr, args.n_tb, seed)
     text = dump_golden_vectors(vectors, args.snr, seed)
     with open(args.dump, "w") as f:

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import typing
 
 from .sweep import EMIT_FIELDS, SweepRecord
 
 CSV_HEADER = ",".join(EMIT_FIELDS)
-
-
-def _sig6(value: float) -> float:
-    return float(f"{value:.6g}")
 
 
 def _cell(value) -> str:
@@ -31,15 +28,18 @@ def render_csv(records: list, fields: tuple[str, ...] = EMIT_FIELDS) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_value(value):
+    """A float as its CSV cell's text: a number when finite, else the text
+    itself ("inf", "nan"), since RFC 8259 JSON has no non-finite numbers."""
+    if not isinstance(value, float):
+        return value
+    text = _cell(value)
+    return float(text) if math.isfinite(value) else text
+
+
 def render_json(records: list[SweepRecord]) -> str:
-    rows = []
-    for r in records:
-        row = {}
-        for f in EMIT_FIELDS:
-            v = getattr(r, f)
-            row[f] = _sig6(v) if isinstance(v, float) else v
-        rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
+    rows = [{f: _json_value(getattr(r, f)) for f in EMIT_FIELDS} for r in records]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def emit(records: list[SweepRecord], format: str, path) -> None:

@@ -20,17 +20,8 @@ from ..backends import (
     run_lookaside_bulk,
     run_lookaside_sequential,
 )
-from ..ldpc import ConfigurationError, decode_layered_minsum, encode
-from ..nr import (
-    code_block_bits,
-    make_transport_block,
-    random_transport_block,
-    rate_dematch,
-    rate_match,
-    segment,
-    select_base_graph,
-    split_coded_bits,
-)
+from ..ldpc import ConfigurationError, decode_layered_minsum
+from ..nr import random_transport_block, rate_dematch, segment, select_base_graph
 from ..phy import bits_to_llrs, generate_cell_vectors, prepare_tb_vectors
 
 DEFAULT_STUDY_MCS = 9
@@ -95,6 +86,12 @@ class ParallelStudyRow:
     parallel_utilization: float
 
 
+def _split_prbs(prb_total: int, n_ue: int) -> list[int]:
+    """Equal PRB shares per UE, remainder to the last UE."""
+    share = prb_total // n_ue
+    return [share] * (n_ue - 1) + [prb_total - share * (n_ue - 1)]
+
+
 def run_parallel_study(
     n_ue_list: list[int],
     prb_total: int,
@@ -116,7 +113,7 @@ def run_parallel_study(
         if n_ue < 1 or n_ue > prb_total:
             raise ConfigurationError(f"n_ue={n_ue} incompatible with prb_total={prb_total}")
         batches = []
-        for ue, prb in enumerate(split_coded_bits(prb_total, n_ue)):
+        for ue, prb in enumerate(_split_prbs(prb_total, n_ue)):
             vec = prepare_tb_vectors(
                 random_transport_block(mcs, prb, np.random.default_rng(seed ^ ue)),
                 DEFAULT_STUDY_SNR_DB,
@@ -128,9 +125,8 @@ def run_parallel_study(
         outcomes = cpu_decode_batch([d for b in batches for d in b]).outcomes
         seq_report = inline_decode_sequential(batches, model, outcomes)
         par_report = inline_decode_parallel(batches, model, outcomes)
-        counts = [len(b) for b in batches]
-        seq_timing = inline_timing_sequential(counts, model)
-        par_timing = inline_timing_parallel(counts, model)
+        seq_timing = inline_timing_sequential(batches, model)
+        par_timing = inline_timing_parallel(batches, model)
         rows.append(
             ParallelStudyRow(
                 n_ue=n_ue,
@@ -158,14 +154,15 @@ def run_iteration_study(
     rate_list: list[float] = (0.33, 0.88),
     iter_list: list[int] = (2, 4, 8),
     repeats: int = 10,
-    seed: int = 99,
 ) -> list[IterationStudyRow]:
     """Wall-clock CPU decode time with early termination disabled.
 
     K is the per-CB information length including the TB CRC; the code rate
-    sets the rate-matched length E = ceil(K / rate).  Each of the ``repeats``
-    rounds times one decode of every row, so a drift in host speed spreads
-    over all rows instead of reordering them.
+    sets the rate-matched length E = ceil(K / rate).  Each row decodes the
+    noise-free all-zero codeword: with early termination off, the decode
+    does the same work whatever its LLRs.  Each of the ``repeats`` rounds
+    times one decode of every row, so a drift in host speed spreads over all
+    rows instead of reordering them.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
@@ -183,14 +180,9 @@ def run_iteration_study(
             plan = segment(b, bg)
             if plan.c != 1:
                 raise ConfigurationError(f"K={k} does not fit a single code block")
-            e_total = math.ceil(k / rate)
-            rng = np.random.default_rng(seed)
-            payload = rng.integers(0, 2, b, dtype=np.uint8)
-            tb = make_transport_block(payload, 0, 1)  # mcs/prb unused below
-            blocks = code_block_bits(tb, plan)
-            params = replace(plan.params[0], e=e_total)
-            cw = encode(blocks[0], params)
-            llr = rate_dematch(bits_to_llrs(rate_match(cw, params)), params)
+            e = math.ceil(k / rate)
+            params = replace(plan.params[0], e=e)
+            llr = rate_dematch(bits_to_llrs(np.zeros(e, np.uint8)), params)
             cases += [(k, rate, iters, llr, params) for iters in iter_list]
 
     def decode(case):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import decodex.bench.cli as cli
 from decodex.bench import parse_csv, render_csv, render_json, run_cell, sweep
 from decodex.bench.cli import main
 from decodex.bench.emit import CSV_HEADER, emit
@@ -172,6 +173,65 @@ def test_failed_cell_rows_are_pinned(tmp_path):
     assert row["utilization"] is None
     assert row["clock_type"] == "wall"
     assert math.isnan(row["snr_db"]) and math.isnan(row["bler"])
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_non_finite_floats_are_strings(tmp_path):
+    """A non-finite float is its CSV cell's text in a string: the noise-free
+    cell and the pinned failed cells are strict JSON."""
+    out = tmp_path / "out.json"
+    cfg = _write_config(
+        tmp_path / "inf.ini",
+        "[sweep]\nbackends = lookaside\nmcs = 0\nsnr_db = inf\nprb = 5\nn_tb = 1\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    [row] = _strict_json(out.read_text())
+    assert (row["snr_db"], row["bler"]) == ("inf", 0.0)
+    cfg = _write_config(
+        tmp_path / "nan.ini",
+        "[sweep]\nbackends = cpu, inline\nmcs = 0\nsnr_db = nan\nprb = 5\nn_tb = 1\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 2
+    failed = dict.fromkeys(("bler", "mean_iterations", "p50_us", "p99_us", "mean_us"), "nan")
+    assert _strict_json(out.read_text()) == [
+        {"backend": "cpu", "mcs": 0, "snr_db": "nan", "prb": 5, "n_tb": 1, **failed,
+         "utilization": None, "clock_type": "wall"},
+        {"backend": "inline", "mcs": 0, "snr_db": "nan", "prb": 5, "n_tb": 1, **failed,
+         "utilization": None, "clock_type": "virtual"},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--out", "MISSING/o.csv"],
+        ["bulk-study", "--out", "MISSING/o.csv"],
+        ["parallel-study", "--out", "MISSING/o.csv"],
+        ["iter-study", "--out", "MISSING/o.csv"],
+        ["vectors", "--dump", "MISSING/golden.txt"],
+        ["sweep", "--out", "TMPDIR"],
+    ],
+    ids=["sweep", "bulk-study", "parallel-study", "iter-study", "vectors", "sweep-to-a-directory"],
+)
+def test_cli_unwritable_output_runs_nothing(tmp_path, monkeypatch, capsys, argv):
+    def ran(*_, **__):
+        raise AssertionError("the job ran before its output path was checked")
+
+    for name in ("run_sweep", "run_bulk_study", "run_parallel_study", "run_iteration_study",
+                 "generate_cell_vectors"):
+        monkeypatch.setattr(cli, name, ran)
+    missing = tmp_path / "missing"
+    assert main([a.replace("MISSING", str(missing)).replace("TMPDIR", str(tmp_path))
+                 for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not missing.exists()
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -73,11 +73,6 @@ def test_empty_inline_timing_is_zero_work(timing):
     assert (t.kernel_us, t.total_us, t.utilization) == (0.0, 0.0, 0.0)
 
 
-def test_sequential_transfers_must_match_the_launches():
-    with pytest.raises(ValueError, match="transfer_us"):
-        inline_timing_sequential([4, 4, 4], InlineModel(), [1.0])
-
-
 @pytest.mark.parametrize(
     "run",
     [

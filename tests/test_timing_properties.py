@@ -17,8 +17,6 @@ from decodex.backends import (
     DEFAULT_MODELS,
     InlineModel,
     LookasideModel,
-    inline_decode_sequential,
-    inline_parallel_report,
     inline_timing_parallel,
     inline_timing_sequential,
     lookaside_bulk_report,
@@ -98,16 +96,16 @@ def test_sequential_lookaside_is_the_bulk_queue_at_depth_one(model, n):
     assert _report_fields(sequential) == _report_fields(bulk)
 
 
+def _shaped(counts):
+    """One TB per count, each of that many copies of one op's descriptor."""
+    return [[_OPS[i % N_MAX]] * c for i, c in enumerate(counts)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(inline_models(), st.lists(st.integers(1, 600), max_size=12), st.integers(1, 600),
-       st.floats(0.0, 100.0))
-def test_inline_timing_is_finite_and_monotone(model, counts, extra, transfer):
-    runs = [
-        lambda c: inline_timing_sequential(c, model, [transfer] * len(c)),
-        lambda c: inline_timing_parallel(c, model, transfer),
-    ]
-    for run in runs:
-        fewer, more = run(counts), run(counts + [extra])
+@given(inline_models(), st.lists(st.integers(1, 600), max_size=12), st.integers(1, 600))
+def test_inline_timing_is_finite_and_monotone(model, counts, extra):
+    for timing in (inline_timing_sequential, inline_timing_parallel):
+        fewer, more = timing(_shaped(counts), model), timing(_shaped(counts + [extra]), model)
         for t in (fewer, more):
             assert _finite_non_negative(t.kernel_us, t.total_us, t.utilization, *t.tb_us)
         assert more.total_us >= fewer.total_us
@@ -121,12 +119,8 @@ def _timing(kind, model):
         report = lookaside_bulk_report(_OPS[:4], model, depth=2)
         return report.total_us, report.tb_latency_us
     loads = ([[d] for d in _OPS[:3]], [[_OPS[0]]])
-
-    def sequential(batches, model):
-        return inline_decode_sequential(batches, model, _OUTS[: len(batches)])
-
-    runs = (inline_parallel_report, sequential)
-    return [(r.total_us, r.utilization) for r in (run(b, model) for run in runs for b in loads)]
+    runs = (inline_timing_parallel, inline_timing_sequential)
+    return [(t.total_us, t.utilization) for t in (run(b, model) for run in runs for b in loads)]
 
 
 @pytest.mark.parametrize(
