@@ -20,6 +20,7 @@ from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
 from .emit import emit, render_csv
 from .studies import (
+    DEFAULT_BULK_N_OPS,
     DEFAULT_STUDY_MCS,
     BulkStudyRow,
     IterationStudyRow,
@@ -28,7 +29,7 @@ from .studies import (
     run_iteration_study,
     run_parallel_study,
 )
-from .sweep import DEFAULT_SEED, SweepConfig, run_sweep
+from .sweep import DEFAULT_SEED, MAX_N_TB, SweepConfig, check_limit, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -166,6 +167,7 @@ def _cmd_iter_study(args) -> int:
 
 def _cmd_vectors(args) -> int:
     seed = _env_seed(args.seed)
+    check_limit("n_tb", args.n_tb, MAX_N_TB)
     _check_out(args.dump)
     vectors = generate_cell_vectors(args.mcs, args.prb, args.snr, args.n_tb, seed)
     text = dump_golden_vectors(vectors, args.snr, seed)
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bulk-study", help="sequential vs bulk queue throughput")
-    p.add_argument("--n-ops", default="1,10,100,1000")
+    p.add_argument("--n-ops", default=",".join(map(str, DEFAULT_BULK_N_OPS)))
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_bulk_study)
 

@@ -23,10 +23,15 @@ from ..backends import (
 from ..ldpc import ConfigurationError, decode_layered_minsum
 from ..nr import random_transport_block, rate_dematch, segment, select_base_graph
 from ..phy import bits_to_llrs, generate_cell_vectors, prepare_tb_vectors
+from .sweep import check_limit
 
 DEFAULT_STUDY_MCS = 9
 DEFAULT_STUDY_SNR_DB = 30.0
 DEFAULT_BULK_SEED = 7
+DEFAULT_BULK_N_OPS = (1, 10, 100, 1000)
+MAX_BULK_OPS = 10_000  # ops in one bulk-study row, each a TB decoded up front
+DEFAULT_REPEATS = 10
+MAX_REPEATS = 1_000  # timed rounds of the iteration study
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ def run_bulk_study(
     """
     if not n_ops_list or min(n_ops_list) < 1:
         raise ConfigurationError(f"n_ops must be a non-empty list of counts >= 1: {n_ops_list}")
+    check_limit("n_ops", max(n_ops_list), MAX_BULK_OPS)
     model = LookasideModel()
     rows = []
     n_max = max(n_ops_list)
@@ -153,7 +159,7 @@ def run_iteration_study(
     k_list: list[int] = (1936, 4224, 8440),
     rate_list: list[float] = (0.33, 0.88),
     iter_list: list[int] = (2, 4, 8),
-    repeats: int = 10,
+    repeats: int = DEFAULT_REPEATS,
 ) -> list[IterationStudyRow]:
     """Wall-clock CPU decode time with early termination disabled.
 
@@ -166,6 +172,7 @@ def run_iteration_study(
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    check_limit("repeats", repeats, MAX_REPEATS)
     if not (k_list and rate_list and iter_list):
         raise ConfigurationError("k, rate and iteration lists must be non-empty")
     if not all(0 < rate < 1 for rate in rate_list):

@@ -15,21 +15,32 @@ sweep is reproducible end to end (bit-exactly on virtual clocks).
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .. import backends
-from ..ldpc import DEFAULT_MAX_ITERATIONS, MAX_ITERATIONS
+from ..ldpc import DEFAULT_MAX_ITERATIONS, MAX_ITERATIONS, ConfigurationError
 from ..nr import mcs_lookup, reassemble
 from ..phy import generate_cell_vectors
+
+log = logging.getLogger(__name__)
 
 DEFAULT_MCS_SET = tuple(range(20))
 DEFAULT_SNR_GRID = (-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 DEFAULT_PRB_SET = (50, 100, 150, 200)
+MAX_CELLS = 10_000  # MCS x SNR x PRB cells per sweep; the default grid has 560
 DEFAULT_N_TB = 100
+MAX_N_TB = 1_000  # TBs per cell, whose vectors a cell holds all at once
 DEFAULT_SEED = 12345
+
+
+def check_limit(name: str, value: int, limit: int) -> None:
+    """Reject a configured amount of work above its limit."""
+    if value > limit:
+        raise ConfigurationError(f"{name} is {value}, above its limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,9 @@ class SweepConfig:
             raise ValueError("backends, mcs_set, snr_grid_db, prb_set must be non-empty")
         if self.n_tb < 1:
             raise ValueError("n_tb must be >= 1")
+        check_limit("n_tb", self.n_tb, MAX_N_TB)
+        check_limit("the number of grid cells",
+                    len(self.mcs_set) * len(self.snr_grid_db) * len(self.prb_set), MAX_CELLS)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.max_iterations <= MAX_ITERATIONS:
@@ -183,6 +197,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         try:
             records = _cell_records(config, mcs, snr_db, prb, cell_seed(config.seed, index))
         except Exception as exc:  # cell-level failure must not abort the sweep
+            log.warning("cell mcs=%s snr_db=%s prb=%s failed", mcs, snr_db, prb, exc_info=True)
             failure = f"{type(exc).__name__}: {exc}"
             records = [SweepRecord(kind, mcs, snr_db, prb, config.n_tb, failure=failure)
                        for kind in config.backends]

@@ -4,9 +4,11 @@ Soft values cross the interface as saturating signed 8-bit LLRs (positive
 means bit 0 is more likely).  Inside the decoder the check-to-variable
 messages are re-saturated to [-127, 127] on write-back, mirroring
 fixed-point accelerator behaviour.  The sweeps run in a compiled C kernel
-(minsum.c, loaded by kernel.py) that works edge-major on int16 lanes; the
-numpy loop kept here, on int32 arrays, is its reference and the fallback
-without a compiler.
+(minsum.c, loaded by kernel.py) that works edge-major on int16 lanes, the
+posteriors included: they are converted to int16 once on entry and back to
+int32 once on return, and every arithmetic loop in the kernel runs over all
+zc lanes of a circulant.  The numpy loop kept here, on int32 arrays, is its
+reference and the fallback without a compiler.
 """
 
 from __future__ import annotations
@@ -87,12 +89,14 @@ def decode_layered_minsum(
 def _compiled_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
     """The sweeps of ``decode_layered_minsum`` in minsum.c; updates ``app``
     in place and returns (iterations_used, converged)."""
+    posteriors = app.astype(np.int16)  # exact: see decode_layered_minsum
     c2v = np.zeros(len(pcm.edges) * pcm.zc, dtype=np.int16)
     converged = ctypes.c_int()
     iterations = minsum_kernel()(
-        app, c2v, pcm.edges, pcm.degrees, pcm.base_rows, pcm.zc,
+        posteriors, c2v, pcm.edges, pcm.degrees, pcm.base_rows, pcm.zc,
         max_iterations, norm_q12, early_termination, ctypes.byref(converged),
     )
+    app[:] = posteriors
     return iterations, bool(converged.value)
 
 

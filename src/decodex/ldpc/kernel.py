@@ -84,6 +84,6 @@ def minsum_kernel():
         return None
     i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")  # checks dtype and layout
     i16 = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
-    fn.argtypes = [i32, i16, i32, i32] + [ctypes.c_int] * 5 + [ctypes.POINTER(ctypes.c_int)]
+    fn.argtypes = [i16, i16, i32, i32] + [ctypes.c_int] * 5 + [ctypes.POINTER(ctypes.c_int)]
     fn.restype = ctypes.c_int
     return fn

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import decodex.bench.cli as cli
-from decodex.bench import parse_csv, render_csv, render_json, run_cell, sweep
+from decodex.bench import parse_csv, render_csv, render_json, run_cell, studies, sweep
 from decodex.bench.cli import main
 from decodex.bench.emit import CSV_HEADER, emit
 
@@ -309,6 +309,32 @@ def test_cli_vectors_rejects_no_tbs(tmp_path, capsys, n_tb):
     assert main(["vectors", "--dump", str(out), "--n-tb", n_tb]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not out.exists()
+
+
+def _limit_configs(tmp_path):
+    def sweep_config(body):
+        return ["sweep", "--config", _write_config(tmp_path / "cfg.ini", body),
+                "--out", str(tmp_path / "o.csv")]
+
+    snrs = ",".join(map(str, range(sweep.MAX_CELLS + 1)))
+    return {
+        "n_tb": sweep_config(_TINY_SWEEP.replace("n_tb = 1", f"n_tb = {sweep.MAX_N_TB + 1}")),
+        "cells": sweep_config(_TINY_SWEEP.replace("snr_db = 8", f"snr_db = {snrs}")),
+        "n_ops": ["bulk-study", "--n-ops", f"1,{studies.MAX_BULK_OPS + 1}"],
+        "vectors-n_tb": ["vectors", "--dump", str(tmp_path / "golden.txt"),
+                         "--n-tb", str(sweep.MAX_N_TB + 1)],
+    }
+
+
+@pytest.mark.parametrize("limit", ["n_tb", "cells", "n_ops", "vectors-n_tb"])
+def test_cli_work_above_a_limit_is_one_configuration_error(tmp_path, capsys, limit):
+    assert main(_limit_configs(tmp_path)[limit]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("configuration error:")
+    assert "above its limit of" in line
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["cfg.ini"])
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ says so in one warning, and where a compiler exists the kernel must be the
 path that runs.
 """
 
+import dataclasses
 import logging
 import platform
 import shutil
@@ -97,6 +98,30 @@ def test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern):
     assert np.array_equal(compiled, reference)
 
 
+_BOUNDARY_SHAPES = [(1, 384), (2, 16), (0, 4)]  # BG1 and BG2 at the extremes, the toy graph
+
+
+@needs_cc
+@pytest.mark.parametrize("bg, zc", _BOUNDARY_SHAPES, ids=["bg1-384", "bg2-16", "toy-4"])
+@pytest.mark.parametrize("shift", ["0", "zc-1"])
+def test_kernel_equals_the_reference_at_the_run_boundaries(bg, zc, shift):
+    """With every shift 0 a circulant's second run is empty, and with every
+    shift zc - 1 its first run is a single lane: the gather and scatter
+    copies at their edges."""
+    params = _params(bg, zc)
+    pcm = expand_base_graph(params.bg, params.zc, params.set_index)
+    edges = pcm.edges.copy()
+    edges[:, 1] = 0 if shift == "0" else zc - 1
+    pcm = dataclasses.replace(pcm, edges=edges)
+    for seed, early_termination in ((1, True), (2, False)):
+        llr = _llrs(params, seed, magnitude=6, noise=24).astype(np.int32)
+        compiled, reference = llr.copy(), llr.copy()
+        got = _compiled_sweeps(compiled, pcm, 20, 3072, early_termination)
+        want = _reference_sweeps(reference, pcm, 20, 3072, early_termination)
+        assert got == want
+        assert np.array_equal(compiled, reference)
+
+
 @pytest.fixture
 def default_clone_only(monkeypatch, tmp_path_factory):
     """Loads, for one test, a build of minsum.c with -DMINSUM_NO_CLONES: the
@@ -121,6 +146,13 @@ def test_default_clone_equals_the_reference_on_saturated_llrs(default_clone_only
     for bg in (1, 2):
         for pattern in ("all -128", "all +127", "alternating"):
             test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern)
+
+
+@needs_cc
+def test_default_clone_equals_the_reference_at_the_run_boundaries(default_clone_only):
+    for bg, zc in _BOUNDARY_SHAPES:
+        for shift in ("0", "zc-1"):
+            test_kernel_equals_the_reference_at_the_run_boundaries(bg, zc, shift)
 
 
 @needs_cc

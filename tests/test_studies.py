@@ -2,7 +2,7 @@
 
 import pytest
 
-from decodex.bench import run_bulk_study, run_iteration_study, run_parallel_study
+from decodex.bench import run_bulk_study, run_iteration_study, run_parallel_study, studies
 from decodex.ldpc import ConfigurationError
 
 
@@ -91,3 +91,26 @@ def test_iteration_study_times_its_rows_round_robin(monkeypatch):
 def test_study_edge_inputs_are_named_errors(study):
     with pytest.raises(ConfigurationError):
         study()
+
+
+class _Validated(Exception):
+    """Raised in place of the study's first piece of work."""
+
+
+def test_bulk_n_ops_is_bounded(monkeypatch):
+    def stop(**kwargs):
+        raise _Validated(kwargs["n_tb"])
+
+    monkeypatch.setattr(studies, "generate_cell_vectors", stop)
+    with pytest.raises(_Validated, match=str(studies.MAX_BULK_OPS)):
+        run_bulk_study([1, studies.MAX_BULK_OPS])
+    with pytest.raises(ConfigurationError, match=f"above its limit of {studies.MAX_BULK_OPS}"):
+        run_bulk_study([1, studies.MAX_BULK_OPS + 1])
+
+
+def test_iteration_repeats_are_bounded():
+    rows = run_iteration_study(k_list=[1936], rate_list=[0.88], iter_list=[1],
+                               repeats=studies.MAX_REPEATS)
+    assert len(rows) == 1
+    with pytest.raises(ConfigurationError, match=f"above its limit of {studies.MAX_REPEATS}"):
+        run_iteration_study(repeats=studies.MAX_REPEATS + 1)

@@ -1,11 +1,13 @@
 """Sweep orchestration: completeness, determinism, cross-backend agreement."""
 
 import dataclasses
+import logging
 import math
 
 import pytest
 
 from decodex.backends import InlineModel, LookasideModel
+from decodex.ldpc import ConfigurationError
 from decodex.bench import SweepConfig, run_cell, run_sweep, sweep
 
 
@@ -96,6 +98,22 @@ def test_failing_cell_still_emits_a_record(monkeypatch):
     assert math.isnan(records[0].bler)
 
 
+def test_failing_cell_logs_its_traceback(monkeypatch, caplog):
+    monkeypatch.setattr(sweep, "generate_cell_vectors", _fail_generation)
+    config = SweepConfig(
+        backends=("cpu", "lookaside"), mcs_set=(4,), snr_grid_db=(8.0,), prb_set=(10,),
+        n_tb=1, seed=5,
+    )
+    with caplog.at_level(logging.WARNING, logger=sweep.__name__):
+        records = run_sweep(config)
+    assert [r.failure for r in records] == ["RuntimeError: vector generation failed"] * 2
+    [logged] = caplog.records
+    assert logged.getMessage() == "cell mcs=4 snr_db=8.0 prb=10 failed"
+    assert logged.exc_info[0] is RuntimeError
+    assert "Traceback" in caplog.text
+    assert "in _fail_generation" in caplog.text
+
+
 def test_bler_is_judged_against_the_transmitted_payload():
     """At -40 dB every LLR is zero: each CB decodes to the all-zero word,
     whose CRCs pass, though the transmitted payload was random."""
@@ -124,6 +142,22 @@ def test_config_validation():
         SweepConfig(workers=0)
     with pytest.raises(ValueError, match="lookaside takes no InlineModel"):
         SweepConfig(backends=("lookaside",), models={"lookaside": InlineModel()})
+
+
+def test_n_tb_is_bounded():
+    assert SweepConfig(n_tb=sweep.MAX_N_TB).n_tb == sweep.MAX_N_TB
+    with pytest.raises(ConfigurationError, match=f"above its limit of {sweep.MAX_N_TB}"):
+        SweepConfig(n_tb=sweep.MAX_N_TB + 1)
+
+
+def test_grid_cells_are_bounded():
+    def grid(cells):
+        return SweepConfig(mcs_set=(0,), snr_grid_db=tuple(map(float, range(cells))),
+                           prb_set=(1,))
+
+    assert len(grid(sweep.MAX_CELLS).snr_grid_db) == sweep.MAX_CELLS
+    with pytest.raises(ConfigurationError, match=f"above its limit of {sweep.MAX_CELLS}"):
+        grid(sweep.MAX_CELLS + 1)
 
 
 def test_model_override_reaches_the_backend():
