@@ -22,8 +22,8 @@
  * is exact: with int8 channel LLRs a posterior stays within
  * 128 + 127 * (column degree), below 2^15 for every bundled base graph.
  * decode.py converts its int32 posteriors to int16 once before the call and
- * back once after it.  Build with -DMAX_DEGREE=<largest layer degree> and -DMAX_ZC=<largest
- * lifting size>.
+ * back once after it.  Build with -DMAX_DEGREE=<largest layer degree> and
+ * -DMAX_ZC=<largest lifting size>.
  */
 #include <stdint.h>
 #include <string.h>
