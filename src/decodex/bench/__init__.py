@@ -1,6 +1,6 @@
 """Benchmark harness: sweeps, dispatch studies, and the decodex CLI."""
 
-from .emit import emit, parse_csv, render_csv, render_json
+from .emit import parse_csv, render_csv, render_json
 from .studies import (
     BulkStudyRow,
     IterationStudyRow,
@@ -18,7 +18,6 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "cell_seed",
-    "emit",
     "parse_csv",
     "render_csv",
     "render_json",

@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: sweep, bulk-study, parallel-study, iter-study, vectors.
+Every command writes its output through ``_write``: an output path of "-"
+is stdout, and status lines go to stderr.
 Exit codes: 0 on success, 1 on configuration errors (usage errors and
 unwritable output paths included), 2 when any sweep cell reports a failure
 state.  DECODEX_SEED overrides the configured seed.
@@ -18,7 +20,7 @@ import typing
 from ..backends import DEFAULT_MODELS
 from ..ldpc import ConfigurationError
 from ..phy import dump_golden_vectors, generate_cell_vectors
-from .emit import emit, render_csv
+from .emit import render_csv, render_json
 from .studies import (
     DEFAULT_BULK_N_OPS,
     DEFAULT_STUDY_MCS,
@@ -46,7 +48,11 @@ def _parse_list(text: str, cast):
 
 def _env_seed(seed: int) -> int:
     """DECODEX_SEED, when set, overrides the configured seed."""
-    return int(os.environ.get("DECODEX_SEED", seed))
+    text = os.environ.get("DECODEX_SEED", str(seed))
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"DECODEX_SEED must be an integer, got {text!r}") from None
 
 
 def _section_kwargs(cls, section, names={}) -> dict:
@@ -103,10 +109,12 @@ def load_sweep_config(path: str | None) -> SweepConfig:
 
 
 def _check_out(path: str) -> None:
-    """Fail before any work runs when output ``path`` is a directory or its
-    directory is missing or unwritable; "-" is stdout."""
+    """Fail before any work runs when output ``path`` is empty, a directory,
+    or in a missing or unwritable directory; "-" is stdout."""
     if path == "-":
         return
+    if not path:
+        raise ConfigurationError("cannot write an empty output path")
     folder = os.path.dirname(path) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigurationError(f"cannot write {path}: {folder} is not a writable directory")
@@ -114,25 +122,8 @@ def _check_out(path: str) -> None:
         raise ConfigurationError(f"cannot write {path}: it is a directory")
 
 
-def _cmd_sweep(args) -> int:
-    config = load_sweep_config(args.config)
-    _check_out(args.out)
-    records = run_sweep(config)
-    emit(records, args.format, args.out)
-    failures = [r for r in records if r.failure]
-    for r in failures:
-        print(
-            f"cell failure: backend={r.backend} mcs={r.mcs} snr={r.snr_db} "
-            f"prb={r.prb}: {r.failure}",
-            file=sys.stderr,
-        )
-    print(f"wrote {len(records)} records to {args.out}")
-    return EXIT_CELL_FAILURE if failures else EXIT_OK
-
-
-def _write_table(row_type, rows, out):
-    """Render study rows as CSV with one column per field of ``row_type``."""
-    text = render_csv(rows, tuple(f.name for f in dataclasses.fields(row_type)))
+def _write(text: str, out: str) -> None:
+    """Write a command's output to stdout when ``out`` is "-", else to the file."""
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -140,17 +131,39 @@ def _write_table(row_type, rows, out):
             f.write(text)
 
 
+def _cmd_sweep(args) -> int:
+    config = load_sweep_config(args.config)
+    _check_out(args.out)
+    records = run_sweep(config)
+    _write(render_csv(records) if args.format == "csv" else render_json(records), args.out)
+    failures = [r for r in records if r.failure]
+    for r in failures:
+        print(
+            f"cell failure: backend={r.backend} mcs={r.mcs} snr={r.snr_db} "
+            f"prb={r.prb}: {r.failure}",
+            file=sys.stderr,
+        )
+    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    return EXIT_CELL_FAILURE if failures else EXIT_OK
+
+
+def _render_table(row_type, rows) -> str:
+    """Study rows as CSV with one column per field of ``row_type``."""
+    return render_csv(rows, tuple(f.name for f in dataclasses.fields(row_type)))
+
+
 def _cmd_bulk_study(args) -> int:
     n_ops = list(_parse_list(args.n_ops, int))
     _check_out(args.out)
-    _write_table(BulkStudyRow, run_bulk_study(n_ops), args.out)
+    _write(_render_table(BulkStudyRow, run_bulk_study(n_ops)), args.out)
     return EXIT_OK
 
 
 def _cmd_parallel_study(args) -> int:
     n_ue = list(_parse_list(args.ue, int))
     _check_out(args.out)
-    _write_table(ParallelStudyRow, run_parallel_study(n_ue, args.prb, mcs=args.mcs), args.out)
+    rows = run_parallel_study(n_ue, args.prb, mcs=args.mcs)
+    _write(_render_table(ParallelStudyRow, rows), args.out)
     return EXIT_OK
 
 
@@ -161,7 +174,7 @@ def _cmd_iter_study(args) -> int:
         rate_list=list(_parse_list(args.rates, float)),
         iter_list=list(_parse_list(args.iters, int)),
     )
-    _write_table(IterationStudyRow, rows, args.out)
+    _write(_render_table(IterationStudyRow, rows), args.out)
     return EXIT_OK
 
 
@@ -170,10 +183,9 @@ def _cmd_vectors(args) -> int:
     check_limit("n_tb", args.n_tb, MAX_N_TB)
     _check_out(args.dump)
     vectors = generate_cell_vectors(args.mcs, args.prb, args.snr, args.n_tb, seed)
-    text = dump_golden_vectors(vectors, args.snr, seed)
-    with open(args.dump, "w") as f:
-        f.write(text)
-    print(f"wrote {sum(len(v.descriptors) for v in vectors)} code blocks to {args.dump}")
+    _write(dump_golden_vectors(vectors, args.snr, seed), args.dump)
+    print(f"wrote {sum(len(v.descriptors) for v in vectors)} code blocks to {args.dump}",
+          file=sys.stderr)
     return EXIT_OK
 
 

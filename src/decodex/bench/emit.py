@@ -42,21 +42,6 @@ def render_json(records: list[SweepRecord]) -> str:
     return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
-def emit(records: list[SweepRecord], format: str, path) -> None:
-    """Write records with the fixed column set; floats carry 6 significant
-    digits."""
-    if not records:
-        raise ValueError("no records to emit")
-    if format == "csv":
-        text = render_csv(records)
-    elif format == "json":
-        text = render_json(records)
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    with open(path, "w") as f:
-        f.write(text)
-
-
 def parse_csv(text: str) -> list[dict]:
     """Inverse of render_csv, for round-trip checks and downstream tooling:
     each column is parsed by the type of its SweepRecord field, and an empty

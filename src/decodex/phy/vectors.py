@@ -135,6 +135,8 @@ def generate_cell_vectors(
     the TBs are numbered 0..n_tb-1 in order."""
     if n_tb < 1:
         raise ValueError(f"n_tb must be >= 1, got {n_tb}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     seeds = [seed ^ i for i in range(n_tb)]
     tbs = [random_transport_block(mcs, prb, np.random.default_rng(s)) for s in seeds]
     return _transmit_chain(tbs, seeds, range(n_tb), snr_db, max_iterations)

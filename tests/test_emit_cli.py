@@ -10,7 +10,7 @@ import pytest
 import decodex.bench.cli as cli
 from decodex.bench import parse_csv, render_csv, render_json, run_cell, studies, sweep
 from decodex.bench.cli import main
-from decodex.bench.emit import CSV_HEADER, emit
+from decodex.bench.emit import CSV_HEADER
 
 EXPECTED_HEADER = (
     "backend,mcs,snr_db,prb,n_tb,bler,mean_iterations,p50_us,p99_us,mean_us,"
@@ -50,18 +50,6 @@ def test_csv_round_trip(records):
 def test_json_keys_match_csv_columns(records):
     rows = json.loads(render_json(records))
     assert list(rows[0].keys()) == EXPECTED_HEADER.split(",")
-
-
-def test_emit_rejects_empty_and_bad_format(tmp_path, records):
-    with pytest.raises(ValueError):
-        emit([], "csv", tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        emit(records, "xml", tmp_path / "x.xml")
-
-
-def test_emit_unwritable_path(records):
-    with pytest.raises(OSError):
-        emit(records, "csv", "/nonexistent-dir/out.csv")
 
 
 def _write_config(path, body):
@@ -216,8 +204,11 @@ def test_json_non_finite_floats_are_strings(tmp_path):
         ["iter-study", "--out", "MISSING/o.csv"],
         ["vectors", "--dump", "MISSING/golden.txt"],
         ["sweep", "--out", "TMPDIR"],
+        ["bulk-study", "--out", ""],
+        ["vectors", "--dump", ""],
     ],
-    ids=["sweep", "bulk-study", "parallel-study", "iter-study", "vectors", "sweep-to-a-directory"],
+    ids=["sweep", "bulk-study", "parallel-study", "iter-study", "vectors", "sweep-to-a-directory",
+         "empty-study-out", "empty-vectors-dump"],
 )
 def test_cli_unwritable_output_runs_nothing(tmp_path, monkeypatch, capsys, argv):
     def ran(*_, **__):
@@ -246,6 +237,45 @@ def test_env_seed_override(tmp_path, monkeypatch):
     main(["sweep", "--config", cfg, "--out", str(out_c)])
     assert parse_csv(out_b.read_text()) == parse_csv(out_c.read_text())
     assert parse_csv(out_a.read_text()) != parse_csv(out_b.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, name",
+    [
+        (["vectors", "--dump", "golden.txt", "--seed", "-1"], None, "seed"),
+        (["vectors", "--dump", "golden.txt"], "-5", "seed"),
+        (["vectors", "--dump", "golden.txt"], "abc", "DECODEX_SEED"),
+        (["sweep", "--out", "o.csv"], "abc", "DECODEX_SEED"),
+    ],
+    ids=["negative-seed-option", "negative-env-seed", "non-integer-env-seed",
+         "non-integer-env-seed-sweep"],
+)
+def test_cli_bad_seed_is_a_named_configuration_error(tmp_path, monkeypatch, capsys,
+                                                      argv, env_seed, name):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is not None:
+        monkeypatch.setenv("DECODEX_SEED", env_seed)
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error:") and name in line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_dash_is_stdout_for_every_command(tmp_path, monkeypatch, capsys):
+    """"-" prints exactly the bytes the file output holds, status lines go to
+    stderr, and no file named "-" appears."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path / "cfg.ini", _TINY_SWEEP)
+    vectors = ["vectors", "--n-tb", "2", "--prb", "5", "--seed", "3", "--dump"]
+    runs = [["sweep", "--config", cfg, "--format", fmt, "--out"] for fmt in ("csv", "json")]
+    for argv in runs + [vectors]:
+        assert main(argv + ["f.out"]) == 0
+        assert capsys.readouterr().err.startswith("wrote ")
+        assert main(argv + ["-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "f.out").read_text()
+        assert captured.err.startswith("wrote ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "-").exists()
 
 
 def test_cli_vectors_dump_format(tmp_path):
@@ -288,8 +318,9 @@ def test_console_script_installed():
 
 @pytest.mark.parametrize(
     "argv",
-    [["parallel-study", "--prb", "abc"], ["sweep"], ["bulk-study", "--n-ops", "abc"]],
-    ids=["bad-int-option", "missing-required-option", "bad-int-list"],
+    [["parallel-study", "--prb", "abc"], ["sweep"], ["bulk-study", "--n-ops", "abc"],
+     ["sweep", "--out", "o.csv", "--format", "xml"]],
+    ids=["bad-int-option", "missing-required-option", "bad-int-list", "unknown-format"],
 )
 def test_cli_usage_errors_are_configuration_errors(capsys, argv):
     assert main(argv) == 1
