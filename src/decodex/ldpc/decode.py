@@ -6,9 +6,11 @@ messages are re-saturated to [-127, 127] on write-back, mirroring
 fixed-point accelerator behaviour.  The sweeps run in a compiled C kernel
 (minsum.c, loaded by kernel.py) that works edge-major on int16 lanes, the
 posteriors included: they are converted to int16 once on entry and back to
-int32 once on return, and every arithmetic loop in the kernel runs over all
-zc lanes of a circulant.  The numpy loop kept here, on int32 arrays, is its
-reference and the fallback without a compiler.
+int32 once on return.  The kernel updates each layer one block of
+``LANE_BLOCK`` lanes at a time across all its circulants, so it keeps its
+messages in rows of zc rounded up to whole blocks (``_c2v_lanes``).  The numpy
+loop kept here, on int32 arrays, is its reference and the fallback without a
+compiler.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basegraph import ParityCheckMatrix, expand_base_graph
-from .kernel import minsum_kernel
+from .kernel import LANE_BLOCK, minsum_kernel
 from .params import CodeBlockParams
 
 LLR_MAX = 127
@@ -86,11 +88,17 @@ def decode_layered_minsum(
     return DecodeResult(bits=bits, iterations_used=iterations, converged=converged)
 
 
+def _c2v_lanes(pcm: ParityCheckMatrix) -> int:
+    """The kernel's message array length: one row per circulant, each zc
+    rounded up to whole lane blocks."""
+    return len(pcm.edges) * -(-pcm.zc // LANE_BLOCK) * LANE_BLOCK
+
+
 def _compiled_sweeps(app, pcm, max_iterations, norm_q12, early_termination):
     """The sweeps of ``decode_layered_minsum`` in minsum.c; updates ``app``
     in place and returns (iterations_used, converged)."""
     posteriors = app.astype(np.int16)  # exact: see decode_layered_minsum
-    c2v = np.zeros(len(pcm.edges) * pcm.zc, dtype=np.int16)
+    c2v = np.zeros(_c2v_lanes(pcm), dtype=np.int16)
     converged = ctypes.c_int()
     iterations = minsum_kernel()(
         posteriors, c2v, pcm.edges, pcm.degrees, pcm.base_rows, pcm.zc,

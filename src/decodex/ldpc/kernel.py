@@ -29,13 +29,16 @@ from .basegraph import ALL_LIFTING_SIZES, MAX_ROW_DEGREE
 
 log = logging.getLogger(__name__)
 
-# -O3: the kernel's loops run over the zc lanes, a run-time trip count, and
+# -O3: the syndrome check loops over the zc lanes, a run-time trip count, and
 # gcc 12's -O2 cost model does not vectorize such loops.  No -march=native: a
 # cached build must run on any host of the architecture.  On x86-64 with glibc
 # the one build carries an AVX2 clone and a portable default clone, and the
 # loader picks one (minsum.c); elsewhere there is no ifunc, so no clones.
+# The kernel updates a layer LANE_BLOCK lanes at a time, and its message rows
+# are zc rounded up to whole blocks.
+LANE_BLOCK = 16
 CFLAGS = ("-O3", "-shared", "-fPIC", f"-DMAX_DEGREE={MAX_ROW_DEGREE}",
-          f"-DMAX_ZC={max(ALL_LIFTING_SIZES)}")
+          f"-DMAX_ZC={max(ALL_LIFTING_SIZES)}", f"-DLANE_BLOCK={LANE_BLOCK}")
 CACHE_DIR = Path(__file__).resolve().parent / "_build"
 
 

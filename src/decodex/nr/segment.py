@@ -65,7 +65,9 @@ def segment(payload_bits: int, bg: int) -> SegmentationPlan:
     else:
         c = math.ceil(b_total / (k_cb - CB_CRC_LEN))
         if c > MAX_CODE_BLOCKS:
-            raise ConfigurationError(f"TB of {payload_bits} bits needs {c} code blocks")
+            raise ConfigurationError(
+                f"a TB of {payload_bits} payload bits needs {c} code blocks, above "
+                f"MAX_CODE_BLOCKS = {MAX_CODE_BLOCKS}")
         k_prime = math.ceil((b_total + CB_CRC_LEN * c) / c)
 
     kb = _kb_for(bg, payload_bits)

@@ -385,3 +385,12 @@ def test_cli_study_inputs_no_study_can_run(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error:")
     assert captured.out == ""
+
+
+def test_cli_oversized_tb_names_the_payload_and_the_code_block_limit(capsys):
+    assert main(["vectors", "--dump", "-", "--prb", "100000"]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("configuration error:")
+    assert "payload bits" in line and "MAX_CODE_BLOCKS = 256" in line
+    assert captured.out == ""

@@ -7,11 +7,13 @@ says so in one warning, and where a compiler exists the kernel must be the
 path that runs.
 """
 
+import ctypes
 import dataclasses
 import logging
 import platform
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from decodex.ldpc import (
     expand_base_graph,
 )
 from decodex.ldpc import basegraph, kernel
-from decodex.ldpc.decode import _compiled_sweeps, _reference_sweeps
+from decodex.ldpc.decode import _c2v_lanes, _compiled_sweeps, _reference_sweeps
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
 
@@ -98,11 +100,12 @@ def test_kernel_equals_the_reference_on_saturated_llrs(bg, pattern):
     assert np.array_equal(compiled, reference)
 
 
-_BOUNDARY_SHAPES = [(1, 384), (2, 16), (0, 4)]  # BG1 and BG2 at the extremes, the toy graph
+# BG1 and BG2 at the extremes, the toy graph, and a partial last lane block
+_BOUNDARY_SHAPES = [(1, 384), (2, 16), (0, 4), (2, 36)]
 
 
 @needs_cc
-@pytest.mark.parametrize("bg, zc", _BOUNDARY_SHAPES, ids=["bg1-384", "bg2-16", "toy-4"])
+@pytest.mark.parametrize("bg, zc", _BOUNDARY_SHAPES, ids=["bg1-384", "bg2-16", "toy-4", "bg2-36"])
 @pytest.mark.parametrize("shift", ["0", "zc-1"])
 def test_kernel_equals_the_reference_at_the_run_boundaries(bg, zc, shift):
     """With every shift 0 a circulant's second run is empty, and with every
@@ -120,6 +123,53 @@ def test_kernel_equals_the_reference_at_the_run_boundaries(bg, zc, shift):
         want = _reference_sweeps(reference, pcm, 20, 3072, early_termination)
         assert got == want
         assert np.array_equal(compiled, reference)
+
+
+_GUARD = 16  # sentinel lanes on each side of the kernel's arrays
+_SENTINEL = -12345
+
+
+def _guarded(values, length):
+    """An int16 array of ``length`` lanes holding ``values`` between two
+    guard zones of sentinels, and the view of its middle."""
+    whole = np.full(length + 2 * _GUARD, _SENTINEL, dtype=np.int16)
+    whole[_GUARD:-_GUARD] = values
+    return whole, whole[_GUARD:-_GUARD]
+
+
+def check_every_lifting_size():
+    """The loaded kernel against the numpy reference at every (bg, zc), 153
+    shapes and so every zc mod LANE_BLOCK, on random int8 LLRs, with early
+    termination on and off.  The kernel works on views between guard zones,
+    and must leave every sentinel, and every message lane past zc, as it
+    found them."""
+    fn = kernel.minsum_kernel()
+    assert fn is not None
+    for bg in sorted(BG_DIMS):
+        for zc in ALL_LIFTING_SIZES:
+            params = _params(bg, zc)
+            pcm = expand_base_graph(params.bg, params.zc, params.set_index)
+            llr = np.random.default_rng([bg, zc]).integers(-128, 128, params.n_full)
+            for early_termination in (True, False):
+                reference = llr.astype(np.int32)
+                want = _reference_sweeps(reference, pcm, 5, 3072, early_termination)
+                app_whole, app = _guarded(llr, params.n_full)
+                c2v_whole, c2v = _guarded(0, _c2v_lanes(pcm))
+                converged = ctypes.c_int()
+                iterations = fn(app, c2v, pcm.edges, pcm.degrees, pcm.base_rows, zc, 5,
+                                3072, early_termination, ctypes.byref(converged))
+                shape = (bg, zc, early_termination)
+                assert (iterations, bool(converged.value)) == want, shape
+                assert np.array_equal(app, reference), shape
+                for whole in (app_whole, c2v_whole):
+                    assert (whole[:_GUARD] == _SENTINEL).all(), shape
+                    assert (whole[-_GUARD:] == _SENTINEL).all(), shape
+                assert not c2v.reshape(len(pcm.edges), -1)[:, zc:].any(), shape
+
+
+@needs_cc
+def test_kernel_equals_the_reference_at_every_lifting_size():
+    check_every_lifting_size()
 
 
 @pytest.fixture
@@ -153,6 +203,32 @@ def test_default_clone_equals_the_reference_at_the_run_boundaries(default_clone_
     for bg, zc in _BOUNDARY_SHAPES:
         for shift in ("0", "zc-1"):
             test_kernel_equals_the_reference_at_the_run_boundaries(bg, zc, shift)
+
+
+@needs_cc
+def test_default_clone_equals_the_reference_at_every_lifting_size(default_clone_only):
+    check_every_lifting_size()
+
+
+@needs_cc
+def test_kernel_has_no_undefined_behaviour_at_any_lifting_size(tmp_path):
+    """A build under -fsanitize=undefined, which aborts at the first
+    undefined operation, runs the every-lifting-size check in a child
+    process, so that an abort fails this test instead of ending the suite."""
+    script = f"""
+import sys
+from pathlib import Path
+sys.path[:0] = [{str(Path(__file__).parent)!r}, {str(Path(kernel.__file__).parents[2])!r}]
+import test_minsum_kernel
+from decodex.ldpc import kernel
+kernel.CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+kernel.CACHE_DIR = Path({str(tmp_path)!r})
+test_minsum_kernel.check_every_lifting_size()
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    [lib] = tmp_path.glob("minsum-*.so")
+    assert b"__ubsan_handle" in lib.read_bytes()  # the instrumented build ran
 
 
 @needs_cc
